@@ -87,8 +87,8 @@ impl StaticRank {
         let mut testability = Vec::with_capacity(n);
         for i in 0..n {
             let id = fusa_netlist::GateId(i as u32);
-            let cc = -cost_to_feature(profile.gate_control_difficulty(netlist, id));
-            let co = -cost_to_feature(profile.gate_co(netlist, id));
+            let cc = -cost_to_feature(profile.testability.gate_control_difficulty(netlist, id));
+            let co = -cost_to_feature(profile.testability.gate_co(netlist, id));
             control.push(cc);
             observe.push(co);
             testability.push(cc + co);
@@ -100,6 +100,7 @@ impl StaticRank {
             .collect();
         let pagerank: Vec<f64> = profile.pagerank.iter().map(|&p| p * n as f64).collect();
         let dominance: Vec<f64> = profile
+            .testability
             .dominated
             .iter()
             .map(|&d| f64::from(1 + d).ln())
@@ -266,6 +267,48 @@ mod tests {
         }
         assert_eq!(rank.combined.len(), netlist.gate_count());
         assert!(rank.combined.iter().all(|&c| (0.0..=1.0).contains(&c)));
+    }
+
+    #[test]
+    fn builtin_rank_csv_goldens() {
+        // The `rank.csv` digests `fusa rank` records; they move when any
+        // printed channel value or the ranking order changes.
+        let golden = [
+            ("sdram_ctrl", "fnv1a64:2235cee262ce211f"),
+            ("or1200_if", "fnv1a64:bd43b1da5396a75f"),
+            ("or1200_icfsm", "fnv1a64:a8046488732a07d4"),
+            ("uart_ctrl", "fnv1a64:d7fc7d7887a9bb16"),
+        ];
+        for (name, digest) in golden {
+            let netlist = designs::all_designs()
+                .into_iter()
+                .find(|n| n.name() == name)
+                .expect("built-in design");
+            let csv = StaticRank::compute(&netlist).to_csv(&netlist);
+            assert_eq!(fusa_obs::fnv1a64_hex(csv.as_bytes()), digest, "{name}");
+        }
+    }
+
+    #[test]
+    fn deep_reconvergence_ranks_without_panicking() {
+        // 1100 diamonds in series: shortest-path counts reach 2^1100,
+        // past f64::MAX, which once turned betweenness into NaN and
+        // panicked the fractional ranking.
+        let mut b = NetlistBuilder::new("diamonds");
+        let mut net = b.primary_input("a");
+        for _ in 0..1100 {
+            let split = b.gate(GateKind::Buf, &[net]);
+            let top = b.gate(GateKind::Inv, &[split]);
+            let bottom = b.gate(GateKind::Buf, &[split]);
+            net = b.gate(GateKind::And2, &[top, bottom]);
+        }
+        b.primary_output("z", net);
+        let netlist = b.finish().unwrap();
+        let rank = StaticRank::compute(&netlist);
+        for channel in &rank.channels {
+            assert!(channel.iter().all(|v| v.is_finite()));
+        }
+        assert_eq!(rank.ranking().len(), 4400);
     }
 
     #[test]

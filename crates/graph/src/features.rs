@@ -93,16 +93,17 @@ impl FeatureMatrix {
         let _span = fusa_obs::global().span("extract");
         let n = netlist.gate_count();
         let mut matrix = Matrix::zeros(n, FEATURE_COUNT + STRUCTURAL_FEATURE_COUNT);
+        let testability = &profile.testability;
         for i in 0..n {
             let gate_id = GateId(i as u32);
             let row = matrix.row_mut(i);
             fill_base_features(row, netlist, stats, gate_id);
-            row[FEATURE_COUNT] = cost_to_feature(profile.gate_cc0(netlist, gate_id));
-            row[FEATURE_COUNT + 1] = cost_to_feature(profile.gate_cc1(netlist, gate_id));
-            row[FEATURE_COUNT + 2] = cost_to_feature(profile.gate_co(netlist, gate_id));
+            row[FEATURE_COUNT] = cost_to_feature(testability.gate_cc0(netlist, gate_id));
+            row[FEATURE_COUNT + 1] = cost_to_feature(testability.gate_cc1(netlist, gate_id));
+            row[FEATURE_COUNT + 2] = cost_to_feature(testability.gate_co(netlist, gate_id));
             row[FEATURE_COUNT + 3] = (1.0 + profile.betweenness[i]).ln();
             row[FEATURE_COUNT + 4] = profile.pagerank[i] * n as f64;
-            row[FEATURE_COUNT + 5] = f64::from(1 + profile.dominated[i]).ln();
+            row[FEATURE_COUNT + 5] = f64::from(1 + testability.dominated[i]).ln();
         }
         FeatureMatrix { matrix }
     }

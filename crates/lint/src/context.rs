@@ -1,13 +1,17 @@
 //! Shared structural analyses computed once and consumed by many passes.
 
 use fusa_netlist::netlist::Driver;
-use fusa_netlist::{GateId, Levelizer, NetId, Netlist, StructuralProfile};
+use fusa_netlist::{GateId, Levelizer, NetId, Netlist, TestabilityProfile};
+use std::sync::OnceLock;
 
 /// A validated netlist plus the dataflow facts the passes share.
 ///
-/// All analyses are computed eagerly in [`LintContext::new`]; each is
-/// linear (or near-linear) in the size of the design, so the context is
-/// cheap compared to even a single fault-simulation workload.
+/// [`LintContext::new`] computes the linear dataflow facts (ternary
+/// constants, observability, reachability) eagerly. The SCOAP and
+/// single-point-of-failure facts are built on first use by a pass that
+/// reads [`LintContext::testability`], so a caller that needs only
+/// constants and observability, like [`crate::untestable_stuck_at_sites`],
+/// never pays for them.
 pub struct LintContext<'a> {
     /// The design under analysis.
     pub netlist: &'a Netlist,
@@ -22,20 +26,19 @@ pub struct LintContext<'a> {
     /// flip-flop output. Constant cells are sources of their own and are
     /// deliberately *not* counted here.
     reachable: Vec<bool>,
-    /// SCOAP testability and graph-centrality measures, shared by the
-    /// structural criticality passes.
-    structural: StructuralProfile,
+    /// SCOAP testability and cut structure, built on first use.
+    testability: OnceLock<TestabilityProfile>,
 }
 
 impl<'a> LintContext<'a> {
-    /// Computes all shared analyses for `netlist`.
+    /// Computes the dataflow facts for `netlist`.
     pub fn new(netlist: &'a Netlist) -> LintContext<'a> {
         LintContext {
             netlist,
             const_value: propagate_constants(netlist),
             observable: observable_gates(netlist),
             reachable: reachable_gates(netlist),
-            structural: StructuralProfile::analyze(netlist),
+            testability: OnceLock::new(),
         }
     }
 
@@ -61,9 +64,11 @@ impl<'a> LintContext<'a> {
         self.reachable[gate.index()]
     }
 
-    /// SCOAP testability and centrality measures of the design.
-    pub fn structural(&self) -> &StructuralProfile {
-        &self.structural
+    /// SCOAP testability, articulation points and post-dominance of the
+    /// design, computed on the first call.
+    pub fn testability(&self) -> &TestabilityProfile {
+        self.testability
+            .get_or_init(|| TestabilityProfile::analyze(self.netlist))
     }
 }
 
@@ -230,6 +235,15 @@ mod tests {
         let n = b.finish().unwrap();
         let ctx = LintContext::new(&n);
         assert!(ctx.is_observable(n.find_gate("DEEP").unwrap()));
+    }
+
+    #[test]
+    fn testability_is_built_on_first_use() {
+        let n = fusa_netlist::designs::or1200_icfsm();
+        let ctx = LintContext::new(&n);
+        assert!(ctx.testability.get().is_none());
+        assert_eq!(ctx.testability(), &TestabilityProfile::analyze(&n));
+        assert!(ctx.testability.get().is_some());
     }
 
     #[test]

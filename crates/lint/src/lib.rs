@@ -16,7 +16,8 @@
 //! * [`LintPass`] — a named, stateless analysis appending
 //!   [`LintFinding`]s to a [`LintReport`];
 //! * [`LintContext`] — shared dataflow facts (ternary constants,
-//!   observability, reachability) computed once per design;
+//!   observability, reachability) computed once per design, plus SCOAP
+//!   and cut-structure facts built on first use;
 //! * [`all_passes`] / [`lint_netlist`] — the default pass registry and
 //!   one-call entry point;
 //! * [`untestable_stuck_at_sites`] — the machine-consumable summary the
@@ -157,6 +158,26 @@ mod tests {
                 report.render_text()
             );
             assert_eq!(report.passes_run.len(), all_passes().len());
+        }
+    }
+
+    #[test]
+    fn builtin_lint_csv_goldens() {
+        // The CSV digests the run manifests record as `lint.csv`; any
+        // change to a pass or to the analyses behind it moves them.
+        let golden = [
+            ("sdram_ctrl", "fnv1a64:04c2aa8b15ba20db"),
+            ("or1200_if", "fnv1a64:a237a7462150af03"),
+            ("or1200_icfsm", "fnv1a64:7133f6bd53335ce8"),
+            ("uart_ctrl", "fnv1a64:0dd6f778c38c413e"),
+        ];
+        for (name, digest) in golden {
+            let netlist = designs::all_designs()
+                .into_iter()
+                .find(|n| n.name() == name)
+                .expect("built-in design");
+            let csv = lint_netlist(&netlist).render_csv();
+            assert_eq!(fusa_obs::fnv1a64_hex(csv.as_bytes()), digest, "{name}");
         }
     }
 

@@ -494,7 +494,7 @@ impl LintPass for ScoapControlPass {
 
     fn run(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
         let netlist = ctx.netlist;
-        let s = ctx.structural();
+        let s = ctx.testability();
         let mut finite: Vec<f64> = Vec::new();
         for (i, gate) in netlist.gates().iter().enumerate() {
             if gate.kind.is_constant() {
@@ -573,7 +573,7 @@ impl LintPass for ScoapObservePass {
 
     fn run(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
         let netlist = ctx.netlist;
-        let s = ctx.structural();
+        let s = ctx.testability();
         let mut finite: Vec<f64> = Vec::new();
         for (i, gate) in netlist.gates().iter().enumerate() {
             if gate.kind.is_constant() {
@@ -643,7 +643,7 @@ impl LintPass for StructuralSpofPass {
 
     fn run(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
         let netlist = ctx.netlist;
-        let s = ctx.structural();
+        let s = ctx.testability();
         let threshold = 8.max(netlist.gate_count() / 20) as u32;
         for i in 0..netlist.gate_count() {
             if !s.articulation[i] {

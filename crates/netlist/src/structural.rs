@@ -25,6 +25,14 @@
 //!   logic), PageRank (influence flow) and post-dominator counts
 //!   (gates every path from some cone must cross to reach an output).
 //!
+//! The measures split by cost. [`TestabilityProfile`] holds SCOAP,
+//! articulation points and post-dominance, each near-linear in the
+//! design size; lint reads only this part. [`StructuralProfile`] adds
+//! betweenness (O(V·E)) and PageRank for `fusa rank` and the structural
+//! feature channels. Each analysis runs under its own span (`scoap`,
+//! `articulation`, `dominators`, `betweenness`, `pagerank`) inside a
+//! `structural` span.
+//!
 //! Fixpoint scheduling reuses the one Tarjan SCC implementation in
 //! [`crate::topo::strongly_connected_components`]: components are
 //! processed in condensation order (sources first for controllability,
@@ -53,24 +61,22 @@ pub const SEQUENTIAL_STEP: u32 = 10;
 /// PageRank damping factor (the standard 0.85).
 const PAGERANK_DAMPING: f64 = 0.85;
 
-/// All static structural measures of one design.
+/// The testability facts of one design: SCOAP costs plus the
+/// single-point-of-failure structure (articulation points and
+/// post-dominance). Every measure here is near-linear in the design
+/// size; this is the part of the structural analysis that lint reads.
 ///
-/// SCOAP vectors are indexed by [`crate::NetId`]; centrality vectors by
+/// SCOAP vectors are indexed by [`crate::NetId`], the others by
 /// [`GateId`]. Use the `gate_*` accessors to read a gate's testability
 /// through its output net.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StructuralProfile {
+pub struct TestabilityProfile {
     /// Per-net SCOAP 0-controllability.
     pub cc0: Vec<u32>,
     /// Per-net SCOAP 1-controllability.
     pub cc1: Vec<u32>,
     /// Per-net SCOAP observability.
     pub co: Vec<u32>,
-    /// Per-gate Brandes betweenness over the directed gate graph
-    /// (unnormalized shortest-path pair counts).
-    pub betweenness: Vec<f64>,
-    /// Per-gate PageRank over the directed gate graph (sums to 1).
-    pub pagerank: Vec<f64>,
     /// Per-gate articulation flag on the undirected gate graph: removing
     /// the gate disconnects previously connected logic.
     pub articulation: Vec<bool>,
@@ -79,27 +85,36 @@ pub struct StructuralProfile {
     pub dominated: Vec<u32>,
 }
 
-impl StructuralProfile {
-    /// Computes every structural measure for `netlist`.
-    pub fn analyze(netlist: &Netlist) -> StructuralProfile {
-        let adjacency = gate_adjacency(netlist);
-        let components = strongly_connected_components(&adjacency);
-        let mut comp_of = vec![0u32; netlist.gate_count()];
-        for (ci, component) in components.iter().enumerate() {
-            for &g in component {
-                comp_of[g as usize] = ci as u32;
+impl TestabilityProfile {
+    /// Computes the testability facts of `netlist` under a `structural`
+    /// span.
+    pub fn analyze(netlist: &Netlist) -> TestabilityProfile {
+        let _span = fusa_obs::global().span("structural");
+        TestabilityProfile::from_adjacency(netlist, &gate_adjacency(netlist))
+    }
+
+    fn from_adjacency(netlist: &Netlist, adjacency: &[Vec<u32>]) -> TestabilityProfile {
+        let obs = fusa_obs::global();
+        let (cc0, cc1, co) = obs.time("scoap", || {
+            let components = strongly_connected_components(adjacency);
+            let mut comp_of = vec![0u32; netlist.gate_count()];
+            for (ci, component) in components.iter().enumerate() {
+                for &g in component {
+                    comp_of[g as usize] = ci as u32;
+                }
             }
-        }
-        let (cc0, cc1) = controllability(netlist, &components, &comp_of);
-        let co = observability(netlist, &cc0, &cc1, &components, &comp_of);
-        StructuralProfile {
+            let (cc0, cc1) = controllability(netlist, &components, &comp_of);
+            let co = observability(netlist, &cc0, &cc1, &components, &comp_of);
+            (cc0, cc1, co)
+        });
+        TestabilityProfile {
             cc0,
             cc1,
             co,
-            betweenness: betweenness(&adjacency),
-            pagerank: pagerank(&adjacency),
-            articulation: articulation_points(&undirected(&adjacency)),
-            dominated: post_dominance(netlist, &adjacency),
+            articulation: obs.time("articulation", || {
+                articulation_points(&undirected(adjacency))
+            }),
+            dominated: obs.time("dominators", || post_dominance(netlist, adjacency)),
         }
     }
 
@@ -123,6 +138,34 @@ impl StructuralProfile {
     pub fn gate_control_difficulty(&self, netlist: &Netlist, gate: GateId) -> u32 {
         self.gate_cc0(netlist, gate)
             .max(self.gate_cc1(netlist, gate))
+    }
+}
+
+/// All static structural measures of one design: the testability facts
+/// plus the global centralities, indexed by [`GateId`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct StructuralProfile {
+    /// SCOAP costs, articulation points and post-dominance counts.
+    pub testability: TestabilityProfile,
+    /// Per-gate Brandes betweenness over the directed gate graph
+    /// (unnormalized shortest-path pair counts).
+    pub betweenness: Vec<f64>,
+    /// Per-gate PageRank over the directed gate graph (sums to 1).
+    pub pagerank: Vec<f64>,
+}
+
+impl StructuralProfile {
+    /// Computes every structural measure for `netlist` under a
+    /// `structural` span.
+    pub fn analyze(netlist: &Netlist) -> StructuralProfile {
+        let obs = fusa_obs::global();
+        let _span = obs.span("structural");
+        let adjacency = gate_adjacency(netlist);
+        StructuralProfile {
+            testability: TestabilityProfile::from_adjacency(netlist, &adjacency),
+            betweenness: obs.time("betweenness", || betweenness(&adjacency)),
+            pagerank: obs.time("pagerank", || pagerank(&adjacency)),
+        }
     }
 }
 
@@ -415,29 +458,41 @@ fn observability(
 /// for every node the number of shortest source→target paths passing
 /// through it, accumulated over all sources by BFS plus reverse
 /// dependency propagation.
+///
+/// A node's shortest-path predecessors are its in-neighbours one BFS
+/// level closer to the source, so they are read from the reverse graph
+/// instead of being stored per source.
+///
+/// Shortest-path counts double at every reconvergent diamond, so ~1000
+/// diamonds in series overflow `f64`. Only the ratios of counts enter
+/// the dependencies, so a source whose counts overflow is recounted in
+/// log2 space; every other source keeps the plain arithmetic, and a
+/// design without overflow gets bit-identical results.
 pub fn betweenness(adjacency: &[Vec<u32>]) -> Vec<f64> {
     let n = adjacency.len();
+    let reverse = ReverseGraph::of(adjacency);
     let mut centrality = vec![0.0; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut sigma = vec![0.0f64; n];
     let mut dist = vec![-1i64; n];
     let mut delta = vec![0.0f64; n];
     let mut queue = VecDeque::new();
     for source in 0..n {
-        order.clear();
-        queue.clear();
-        for v in 0..n {
-            preds[v].clear();
+        // Only the previous source's search touched any state.
+        for &v in &order {
             sigma[v] = 0.0;
             dist[v] = -1;
             delta[v] = 0.0;
         }
+        order.clear();
         sigma[source] = 1.0;
         dist[source] = 0;
         queue.push_back(source);
+        // A node's count is final when it leaves the queue.
+        let mut overflow = false;
         while let Some(v) = queue.pop_front() {
             order.push(v);
+            overflow |= sigma[v].is_infinite();
             for &w in &adjacency[v] {
                 let w = w as usize;
                 if dist[w] < 0 {
@@ -446,21 +501,116 @@ pub fn betweenness(adjacency: &[Vec<u32>]) -> Vec<f64> {
                 }
                 if dist[w] == dist[v] + 1 {
                     sigma[w] += sigma[v];
-                    preds[w].push(v as u32);
                 }
             }
         }
-        for &w in order.iter().rev() {
-            for &v in &preds[w] {
-                let v = v as usize;
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-            }
-            if w != source {
-                centrality[w] += delta[w];
-            }
+        let search = Search {
+            order: &order,
+            dist: &dist,
+            reverse: &reverse,
+        };
+        if overflow {
+            search.log2_counts(&mut sigma);
+            search.accumulate(&sigma, &mut delta, &mut centrality, |v, w| (v - w).exp2());
+        } else {
+            search.accumulate(&sigma, &mut delta, &mut centrality, |v, w| v / w);
         }
     }
     centrality
+}
+
+/// In-neighbour lists of a directed graph in one flat array.
+struct ReverseGraph {
+    start: Vec<usize>,
+    sources: Vec<u32>,
+}
+
+impl ReverseGraph {
+    fn of(adjacency: &[Vec<u32>]) -> ReverseGraph {
+        let n = adjacency.len();
+        let mut start = vec![0usize; n + 1];
+        for successors in adjacency {
+            for &w in successors {
+                start[w as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut sources = vec![0u32; start[n]];
+        for (v, successors) in adjacency.iter().enumerate() {
+            for &w in successors {
+                sources[next[w as usize]] = v as u32;
+                next[w as usize] += 1;
+            }
+        }
+        ReverseGraph { start, sources }
+    }
+
+    fn predecessors(&self, w: usize) -> &[u32] {
+        &self.sources[self.start[w]..self.start[w + 1]]
+    }
+}
+
+/// One Brandes source's breadth-first search: nodes in visit order
+/// (the source first) and their distances.
+struct Search<'a> {
+    order: &'a [usize],
+    dist: &'a [i64],
+    reverse: &'a ReverseGraph,
+}
+
+impl Search<'_> {
+    /// Calls `f(v)` for every shortest-path predecessor `v` of `w`,
+    /// which must be a visited node other than the source.
+    fn for_each_predecessor(&self, w: usize, mut f: impl FnMut(usize)) {
+        let level = self.dist[w] - 1;
+        for &v in self.reverse.predecessors(w) {
+            if self.dist[v as usize] == level {
+                f(v as usize);
+            }
+        }
+    }
+
+    /// Propagates dependencies back from the farthest nodes and adds
+    /// them to `centrality`; `ratio(sigma[v], sigma[w])` is the share of
+    /// `w`'s shortest paths that pass through its predecessor `v`.
+    fn accumulate(
+        &self,
+        sigma: &[f64],
+        delta: &mut [f64],
+        centrality: &mut [f64],
+        ratio: impl Fn(f64, f64) -> f64,
+    ) {
+        for &w in self.order[1..].iter().rev() {
+            let dependency = 1.0 + delta[w];
+            self.for_each_predecessor(w, |v| {
+                delta[v] += ratio(sigma[v], sigma[w]) * dependency;
+            });
+            centrality[w] += delta[w];
+        }
+    }
+
+    /// Overwrites `sigma` with log2 shortest-path counts, in visit order
+    /// so every predecessor is final first.
+    fn log2_counts(&self, sigma: &mut [f64]) {
+        sigma[self.order[0]] = 0.0;
+        for &w in &self.order[1..] {
+            let mut log_count = f64::NEG_INFINITY;
+            self.for_each_predecessor(w, |v| log_count = log2_add(log_count, sigma[v]));
+            sigma[w] = log_count;
+        }
+    }
+}
+
+/// `log2(2^a + 2^b)` without leaving the `f64` range.
+fn log2_add(a: f64, b: f64) -> f64 {
+    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+    if lo == f64::NEG_INFINITY {
+        return hi;
+    }
+    hi + (lo - hi).exp2().ln_1p() / std::f64::consts::LN_2
 }
 
 /// PageRank over a directed graph with uniform teleport and dangling
@@ -660,6 +810,10 @@ mod tests {
         StructuralProfile::analyze(netlist)
     }
 
+    fn testability(netlist: &Netlist) -> TestabilityProfile {
+        TestabilityProfile::analyze(netlist)
+    }
+
     #[test]
     fn scoap_matches_classic_and_or_rules() {
         let mut b = NetlistBuilder::new("t");
@@ -670,7 +824,7 @@ mod tests {
         b.primary_output("x", and);
         b.primary_output("y", or);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         let and_id = n.find_gate("AND").unwrap();
         let or_id = n.find_gate("OR").unwrap();
         // Classic SCOAP: CC1(AND) = CC1(a)+CC1(b)+1, CC0(AND) = min+1.
@@ -689,7 +843,7 @@ mod tests {
         let x = b.gate_named("X", GateKind::Xor2, &[a, c]);
         b.primary_output("z", x);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         let x_id = n.find_gate("X").unwrap();
         // CC1(XOR) = min(CC1+CC0, CC0+CC1) + 1 = 3.
         assert_eq!(p.gate_cc1(&n, x_id), 3);
@@ -706,7 +860,7 @@ mod tests {
         let and = b.gate(GateKind::And2, &[a, c]);
         b.primary_output("z", and);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         // CO(a) = CO(z) + CC1(b) + 1 = 0 + 1 + 1 = 2.
         assert_eq!(p.co[a.index()], 2);
         assert_eq!(p.co[c.index()], 2);
@@ -720,7 +874,7 @@ mod tests {
         let z = b.gate_named("BUF", GateKind::Buf, &[q]);
         b.primary_output("z", z);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         let reg = n.find_gate("REG").unwrap();
         // CC1(q) = CC1(d) + SEQUENTIAL_STEP; the state slot is don't-care
         // for a plain DFF and must not be charged.
@@ -738,7 +892,7 @@ mod tests {
         let q = b.gate_named("REG", GateKind::Dffr, &[d, rst]);
         b.primary_output("q", q);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         let reg = n.find_gate("REG").unwrap();
         // Reset path: CC1(rst) + step; data path would cost CC0(d)+CC0(rst)+step.
         assert_eq!(p.gate_cc0(&n, reg), 1 + SEQUENTIAL_STEP);
@@ -753,7 +907,7 @@ mod tests {
         let and = b.gate(GateKind::And2, &[a, one]);
         b.primary_output("z", and);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         let t1 = n.find_gate("T1").unwrap();
         assert_eq!(p.gate_cc1(&n, t1), 1);
         assert_eq!(p.gate_cc0(&n, t1), SCOAP_INF);
@@ -768,7 +922,7 @@ mod tests {
         let and = b.gate(GateKind::And2, &[a, zero]);
         b.primary_output("z", and);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         assert_eq!(p.co[a.index()], SCOAP_INF);
     }
 
@@ -787,11 +941,56 @@ mod tests {
         let n = chain3();
         let p = profile(&n);
         let mid = n.find_gate("G1").unwrap().index();
-        assert!(p.articulation[mid]);
-        assert!(!p.articulation[n.find_gate("G0").unwrap().index()]);
+        assert!(p.testability.articulation[mid]);
+        assert!(!p.testability.articulation[n.find_gate("G0").unwrap().index()]);
         // Only shortest path G0 -> G2 passes through G1.
         assert!((p.betweenness[mid] - 1.0).abs() < 1e-12);
         assert_eq!(p.betweenness[n.find_gate("G2").unwrap().index()], 0.0);
+    }
+
+    /// `k` reconvergent diamonds in series: `S{i}` (buffer) fans out to
+    /// `A{i}` (inverter) and `B{i}` (buffer), which rejoin at `J{i}`
+    /// (AND), which drives the next diamond. Shortest-path counts
+    /// double at every join.
+    fn diamond_chain(k: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("diamonds");
+        let mut net = b.primary_input("a");
+        for i in 0..k {
+            let split = b.gate_named(format!("S{i}"), GateKind::Buf, &[net]);
+            let top = b.gate_named(format!("A{i}"), GateKind::Inv, &[split]);
+            let bottom = b.gate_named(format!("B{i}"), GateKind::Buf, &[split]);
+            net = b.gate_named(format!("J{i}"), GateKind::And2, &[top, bottom]);
+        }
+        b.primary_output("z", net);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn betweenness_survives_path_counts_beyond_f64() {
+        // 1100 diamonds: counts reach 2^1100 > f64::MAX. Every path
+        // between two nodes on either side of a split or join crosses
+        // it; an arm carries half of the paths that span its diamond.
+        let k = 1100;
+        let n = diamond_chain(k);
+        let b = betweenness(&gate_adjacency(&n));
+        let of = |name: &str| b[n.find_gate(name).unwrap().index()];
+        for i in 0..k {
+            let after = 4.0 * (k - 1 - i) as f64;
+            let before = 4.0 * i as f64;
+            let expect = [
+                (format!("S{i}"), before * (after + 3.0)),
+                (format!("A{i}"), (before + 1.0) * (after + 1.0) / 2.0),
+                (format!("B{i}"), (before + 1.0) * (after + 1.0) / 2.0),
+                (format!("J{i}"), (before + 3.0) * after),
+            ];
+            for (name, want) in expect {
+                let got = of(&name);
+                assert!(
+                    (got - want).abs() <= 1e-9 * (1.0 + want),
+                    "{name}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -812,7 +1011,7 @@ mod tests {
         let join = b.gate_named("JOIN", GateKind::And2, &[top, bottom]);
         b.primary_output("z", join);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         // Every path from SPLIT, TOP and BOT to the output crosses JOIN.
         assert_eq!(p.dominated[n.find_gate("JOIN").unwrap().index()], 3);
         assert_eq!(p.dominated[n.find_gate("TOP").unwrap().index()], 0);
@@ -828,7 +1027,7 @@ mod tests {
         let _dead2 = b.gate_named("DEAD2", GateKind::Inv, &[dead1]);
         b.primary_output("z", live);
         let n = b.finish().unwrap();
-        let p = profile(&n);
+        let p = testability(&n);
         assert_eq!(p.dominated[n.find_gate("DEAD1").unwrap().index()], 0);
     }
 
@@ -850,12 +1049,13 @@ mod tests {
     fn profile_shapes_match_the_design() {
         let n = crate::designs::uart_ctrl();
         let p = profile(&n);
-        assert_eq!(p.cc0.len(), n.net_count());
-        assert_eq!(p.cc1.len(), n.net_count());
-        assert_eq!(p.co.len(), n.net_count());
+        let t = &p.testability;
+        assert_eq!(t.cc0.len(), n.net_count());
+        assert_eq!(t.cc1.len(), n.net_count());
+        assert_eq!(t.co.len(), n.net_count());
         assert_eq!(p.betweenness.len(), n.gate_count());
         assert_eq!(p.pagerank.len(), n.gate_count());
-        assert_eq!(p.articulation.len(), n.gate_count());
-        assert_eq!(p.dominated.len(), n.gate_count());
+        assert_eq!(t.articulation.len(), n.gate_count());
+        assert_eq!(t.dominated.len(), n.gate_count());
     }
 }

@@ -15,7 +15,9 @@
 
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
 use fusa_netlist::structural::{betweenness, gate_adjacency};
-use fusa_netlist::{GateKind, Netlist, StructuralProfile, SCOAP_INF, SEQUENTIAL_STEP};
+use fusa_netlist::{
+    GateKind, Netlist, StructuralProfile, TestabilityProfile, SCOAP_INF, SEQUENTIAL_STEP,
+};
 use proptest::prelude::*;
 
 const INF: u32 = SCOAP_INF;
@@ -420,10 +422,15 @@ proptest! {
     ) {
         let netlist = random(seed, num_gates, sequential_fraction);
         let profile = StructuralProfile::analyze(&netlist);
+        prop_assert_eq!(
+            &TestabilityProfile::analyze(&netlist),
+            &profile.testability,
+            "lint's testability part differs from the full profile"
+        );
         let (cc0, cc1, co) = reference_scoap(&netlist);
-        prop_assert_eq!(&profile.cc0, &cc0, "cc0 differs");
-        prop_assert_eq!(&profile.cc1, &cc1, "cc1 differs");
-        prop_assert_eq!(&profile.co, &co, "co differs");
+        prop_assert_eq!(&profile.testability.cc0, &cc0, "cc0 differs");
+        prop_assert_eq!(&profile.testability.cc1, &cc1, "cc1 differs");
+        prop_assert_eq!(&profile.testability.co, &co, "co differs");
     }
 
     /// Brandes betweenness equals the all-pairs path-counting
@@ -445,7 +452,7 @@ proptest! {
             );
         }
         prop_assert_eq!(
-            &profile.articulation,
+            &profile.testability.articulation,
             &reference_articulation(&adjacency),
             "articulation differs"
         );
@@ -463,7 +470,7 @@ proptest! {
         let profile = StructuralProfile::analyze(&netlist);
         let adjacency = gate_adjacency(&netlist);
         prop_assert_eq!(
-            &profile.dominated,
+            &profile.testability.dominated,
             &reference_dominated(&netlist, &adjacency),
             "dominated differs"
         );
@@ -475,7 +482,7 @@ proptest! {
 #[test]
 fn builtin_designs_match_references() {
     for netlist in fusa_netlist::designs::all_designs() {
-        let profile = StructuralProfile::analyze(&netlist);
+        let profile = TestabilityProfile::analyze(&netlist);
         let (cc0, cc1, co) = reference_scoap(&netlist);
         assert_eq!(profile.cc0, cc0, "{}: cc0", netlist.name());
         assert_eq!(profile.cc1, cc1, "{}: cc1", netlist.name());
@@ -521,7 +528,7 @@ fn builtin_structural_goldens() {
             .into_iter()
             .find(|n| n.name() == name)
             .expect("built-in design");
-        let profile = StructuralProfile::analyze(&netlist);
+        let profile = TestabilityProfile::analyze(&netlist);
         let infinite = profile.co.iter().filter(|&&c| c == SCOAP_INF).count();
         let cuts = profile.articulation.iter().filter(|&&a| a).count();
         let mass: u64 = profile.dominated.iter().map(|&d| u64::from(d)).sum();

@@ -275,16 +275,16 @@ impl Progress {
             .name(format!("fusa-progress-{label}"))
             .spawn(move || {
                 let mut stopped = beat.stop.lock().expect("progress lock poisoned");
-                loop {
+                // `Drop` may set the flag before this thread first takes
+                // the lock; its wake-up is then lost, so check the flag
+                // before every wait rather than after it.
+                while !*stopped {
                     let (guard, timeout) = beat
                         .wake
                         .wait_timeout(stopped, interval)
                         .expect("progress lock poisoned");
                     stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
+                    if !*stopped && timeout.timed_out() {
                         beat.emit(false);
                     }
                 }
@@ -553,6 +553,30 @@ mod tests {
         assert!(snapshot.gauge("campaign.final_rate").unwrap() > 0.0);
         assert_eq!(snapshot.gauge("campaign.final_eta_seconds"), Some(0.0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A handle dropped before its heartbeat thread first takes the lock
+    /// must not leave the thread waiting out a whole interval.
+    #[test]
+    fn drop_right_after_start_does_not_wait_an_interval() {
+        let _guard = crate::status::test_target_lock();
+        crate::status::set_status_target(None);
+        let recorder = leaked_recorder();
+        recorder.attach_sink(Box::new(std::io::sink()));
+        let begun = Instant::now();
+        for _ in 0..20 {
+            drop(Progress::start(
+                recorder,
+                "race",
+                "units",
+                1,
+                ProgressConfig {
+                    stderr: false,
+                    interval: Duration::from_secs(5),
+                },
+            ));
+        }
+        assert!(begun.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

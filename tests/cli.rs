@@ -780,6 +780,49 @@ fn rank_scores_builtin_against_campaign_ground_truth() {
 }
 
 #[test]
+fn rank_manifest_attributes_the_structural_stage() {
+    use fusa::obs::RunManifest;
+
+    let run_dir = std::env::temp_dir().join("fusa_cli_rank_stages");
+    let output = fusa()
+        .args([
+            "rank",
+            "sdram_ctrl",
+            "--quiet-stats",
+            "--run-dir",
+            run_dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{:?}", output);
+    let manifest =
+        RunManifest::parse(&std::fs::read_to_string(run_dir.join("manifest.json")).unwrap())
+            .expect("manifest parses");
+    let seconds = |name: &str| {
+        manifest
+            .stages
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("stage `{name}` missing from {:?}", manifest.stages))
+            .seconds
+    };
+    // The whole profile is one top-level stage, so rank's manifest
+    // covers its wall time; each analysis inside it is named.
+    let structural = seconds("structural");
+    let mut parts = 0.0;
+    for name in [
+        "scoap",
+        "articulation",
+        "dominators",
+        "betweenness",
+        "pagerank",
+    ] {
+        parts += seconds(&format!("structural/{name}"));
+    }
+    assert!(parts <= structural, "{parts} > {structural}");
+}
+
+#[test]
 fn rank_min_rho_gate_fails_when_unreachable() {
     let dir = std::env::temp_dir().join("fusa_cli_rank_gate");
     std::fs::create_dir_all(&dir).unwrap();
