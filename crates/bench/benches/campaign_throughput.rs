@@ -47,13 +47,13 @@ fn reference() -> CampaignConfig {
         threads: 1,
         restrict_to_cone: false,
         early_exit: false,
-        lane_words: 0,
+        lane_words: 1,
         ..Default::default()
     }
 }
 
-/// Cone + early exit at a given lane width (`0` = legacy scalar): the
-/// SoA-vs-legacy axis, everything else held at the accelerated default.
+/// Cone + early exit at a given lane width: the lane-width axis,
+/// everything else held at the accelerated default.
 fn at_width(lane_words: usize) -> CampaignConfig {
     CampaignConfig {
         threads: 1,
@@ -84,10 +84,10 @@ fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     FaultList::for_gates(netlist, &gates)
 }
 
-/// Lane-width sweep of the structure-of-arrays kernel against the
-/// legacy scalar path, on one builtin and one ~10k-gate synthesized
-/// design (sampled faults). Bit-identity across these configurations is
-/// enforced by `crates/faultsim/tests/lane_equivalence.rs`.
+/// Lane-width sweep of the structure-of-arrays kernel on one builtin
+/// and one ~10k-gate synthesized design (sampled faults). Bit-identity
+/// across these configurations is enforced by
+/// `crates/faultsim/tests/lane_equivalence.rs`.
 fn bench_lane_widths(c: &mut Criterion) {
     let mut group = c.benchmark_group("lane_widths");
     group.sample_size(10);
@@ -99,7 +99,7 @@ fn bench_lane_widths(c: &mut Criterion) {
     ];
     for (faults, netlist) in &cases {
         let workloads = workloads_for(netlist);
-        for (label, lane_words) in [("legacy", 0usize), ("w1", 1), ("w4", 4), ("w8", 8)] {
+        for (label, lane_words) in [("w1", 1usize), ("w4", 4), ("w8", 8)] {
             group.bench_function(&format!("{label}_{}", netlist.name()), |b| {
                 let campaign = FaultCampaign::new(at_width(lane_words));
                 b.iter(|| black_box(campaign.run(netlist, faults, &workloads)))

@@ -1,16 +1,17 @@
 //! Fault-campaign throughput measurement: accelerated hot path (cone
-//! restriction + early exit + zero-alloc stepping) vs the exhaustive
-//! full-netlist reference, per built-in design.
+//! restriction + early exit + default lane width) vs the exhaustive
+//! full-netlist reference (one 64-lane word, no cone, no early exit),
+//! per built-in design.
 //!
 //! Emits `BENCH_campaign.json` (hand-rolled JSON — the workspace
 //! carries no serde) with fault-cycles/sec for both paths plus the
 //! measured speedup, and cross-checks along the way that both paths
 //! return bit-identical outcomes and first-divergence cycles.
 //!
-//! A second section sweeps the wide `[u64; W]` structure-of-arrays
-//! kernel against the legacy scalar path on synthesized 10k/30k/100k-
-//! gate designs (sampled faults — exhaustive lists at that scale would
-//! take hours), again cross-checking bit-identity at every lane width.
+//! A second section sweeps the lane width `W` ∈ {1, 4, 8} of the
+//! structure-of-arrays kernel on synthesized 10k/30k/100k-gate designs
+//! (sampled faults — exhaustive lists at that scale would take hours),
+//! cross-checking every width bit-identical to `W = 1`.
 //!
 //! A third section measures the live `status.json` heartbeat's cost on
 //! the campaign hot path: the same campaign with the status target off
@@ -119,7 +120,7 @@ fn main() {
         threads: 1,
         restrict_to_cone: false,
         early_exit: false,
-        lane_words: 0,
+        lane_words: 1,
         ..Default::default()
     };
 
@@ -496,10 +497,10 @@ fn sampled_faults(netlist: &Netlist, count: usize) -> FaultList {
     FaultList::for_gates(netlist, &gates)
 }
 
-/// Scalar-vs-wide sweep over the synthesized scaling designs, one JSON
-/// entry per design size. The scalar baseline keeps cone restriction
-/// and early exit on — it is exactly the pre-SoA accelerated kernel —
-/// so `speedup` isolates the wide-lane rework.
+/// Lane-width sweep over the synthesized scaling designs, one JSON
+/// entry per design size. Every width keeps cone restriction and early
+/// exit on, so `speedup_vs_w1` isolates what packing more 64-fault
+/// chunks into one pass buys.
 fn measure_design_sizes(smoke: bool) -> String {
     let seed = 1;
     let designs: Vec<Netlist> = vec![
@@ -527,10 +528,10 @@ fn measure_design_sizes(smoke: bool) -> String {
         )
     };
 
-    println!("\nWide-lane SoA kernel vs legacy scalar on synthesized designs (sampled faults).\n");
+    println!("\nLane-width sweep of the SoA kernel on synthesized designs (sampled faults).\n");
     println!(
-        "{:<12} {:>7} {:>7} {:>13} {:>13} {:>13} {:>13} {:>9}",
-        "design", "gates", "faults", "scalar fc/s", "64-lane", "256-lane", "512-lane", "best"
+        "{:<12} {:>7} {:>7} {:>13} {:>13} {:>13} {:>9}",
+        "design", "gates", "faults", "64-lane fc/s", "256-lane", "512-lane", "best"
     );
 
     let mut entries = String::new();
@@ -538,36 +539,27 @@ fn measure_design_sizes(smoke: bool) -> String {
     for netlist in &designs {
         let faults = sampled_faults(netlist, sampled_gates);
         let workloads = WorkloadSuite::generate(netlist, &workload_config);
-        let scalar = measure(
-            netlist,
-            &faults,
-            &workloads,
-            CampaignConfig {
-                threads: 1,
-                lane_words: 0,
-                ..Default::default()
-            },
-        );
-        let mut wide_entries = String::new();
-        let mut wide_rates = Vec::new();
-        for (i, lane_words) in [1usize, 4, 8].into_iter().enumerate() {
-            let wide = measure(
-                netlist,
-                &faults,
-                &workloads,
-                CampaignConfig {
+        let runs: Vec<(usize, Measurement)> = [1usize, 4, 8]
+            .into_iter()
+            .map(|lane_words| {
+                let config = CampaignConfig {
                     threads: 1,
                     lane_words,
                     ..Default::default()
-                },
-            );
-            assert_identical(netlist.name(), &scalar.report, &wide.report);
+                };
+                (lane_words, measure(netlist, &faults, &workloads, config))
+            })
+            .collect();
+        let w1 = &runs[0].1;
+        let mut wide_entries = String::new();
+        for (i, (lane_words, wide)) in runs.iter().enumerate() {
             if i > 0 {
+                assert_identical(netlist.name(), &w1.report, &wide.report);
                 wide_entries.push(',');
             }
             let _ = write!(
                 wide_entries,
-                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"cone_build_seconds\": {:.4},\n          \"cone_coverage\": {:.4},\n          \"speedup_vs_scalar\": {:.2}\n        }}",
+                "\n        {{\n          \"lane_words\": {},\n          \"lanes\": {},\n          \"seconds\": {:.4},\n          \"fault_cycles_per_second\": {:.0},\n          \"gate_evals\": {},\n          \"cone_build_seconds\": {:.4},\n          \"cone_coverage\": {:.4},\n          \"speedup_vs_w1\": {:.2}\n        }}",
                 lane_words,
                 64 * lane_words,
                 wide.seconds,
@@ -575,21 +567,23 @@ fn measure_design_sizes(smoke: bool) -> String {
                 wide.gate_evals,
                 wide.cone_build_seconds,
                 wide.cone_coverage,
-                wide.fault_cycles_per_second() / scalar.fault_cycles_per_second(),
+                wide.fault_cycles_per_second() / w1.fault_cycles_per_second(),
             );
-            wide_rates.push(wide.fault_cycles_per_second());
         }
-        let best = wide_rates.iter().cloned().fold(0.0f64, f64::max);
+        let rates: Vec<f64> = runs
+            .iter()
+            .map(|(_, m)| m.fault_cycles_per_second())
+            .collect();
+        let best = rates.iter().cloned().fold(0.0f64, f64::max);
         println!(
-            "{:<12} {:>7} {:>7} {:>13.0} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x",
+            "{:<12} {:>7} {:>7} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x",
             netlist.name(),
             netlist.gate_count(),
             faults.len(),
-            scalar.fault_cycles_per_second(),
-            wide_rates[0],
-            wide_rates[1],
-            wide_rates[2],
-            best / scalar.fault_cycles_per_second(),
+            rates[0],
+            rates[1],
+            rates[2],
+            best / rates[0],
         );
 
         if !first {
@@ -598,19 +592,14 @@ fn measure_design_sizes(smoke: bool) -> String {
         first = false;
         let _ = write!(
             entries,
-            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"flops\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"bit_identical_checked\": true,\n      \"scalar\": {{\n        \"seconds\": {:.4},\n        \"fault_cycles_per_second\": {:.0},\n        \"gate_evals\": {},\n        \"cone_build_seconds\": {:.4},\n        \"cone_coverage\": {:.4}\n      }},\n      \"wide\": [{}\n      ],\n      \"best_speedup_vs_scalar\": {:.2}\n    }}",
+            "\n    {{\n      \"design\": \"{}\",\n      \"gates\": {},\n      \"flops\": {},\n      \"faults\": {},\n      \"fault_cycles\": {},\n      \"bit_identical_checked\": true,\n      \"wide\": [{}\n      ],\n      \"best_speedup_vs_w1\": {:.2}\n    }}",
             json_escape(netlist.name()),
             netlist.gate_count(),
             netlist.sequential_gates().len(),
             faults.len(),
-            scalar.fault_cycles,
-            scalar.seconds,
-            scalar.fault_cycles_per_second(),
-            scalar.gate_evals,
-            scalar.cone_build_seconds,
-            scalar.cone_coverage,
+            w1.fault_cycles,
             wide_entries,
-            best / scalar.fault_cycles_per_second(),
+            best / rates[0],
         );
     }
     entries

@@ -6,11 +6,10 @@
 //! * **cone restriction** — a stuck-at fault only perturbs its transitive
 //!   fanout cone, so each fault chunk evaluates only the union cone of
 //!   its faults and seeds everything else from the golden trace;
-//! * **wide lanes** — with `lane_words = W > 0`, `W` consecutive 64-fault
-//!   chunks of one workload are packed into the `[u64; W]` words of a
+//! * **wide lanes** — `lane_words = W` consecutive 64-fault chunks of one
+//!   workload are packed into the `[u64; W]` words of a
 //!   structure-of-arrays [`WideSim`], so each pass advances up to `64·W`
-//!   fault machines through one branch-light sweep over flat tables
-//!   (`lane_words = 0` selects the legacy per-gate [`BitSim`] kernel);
+//!   fault machines through one branch-light sweep over flat tables;
 //! * **chunk-grained scheduling** — `(workload × chunk-group)` work items
 //!   are pulled from an atomic counter, with golden traces computed once
 //!   per workload and shared read-only through per-slot `OnceLock`s
@@ -29,7 +28,7 @@ use crate::durability::{
 use crate::fault::{Fault, FaultList, FaultSite};
 use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport};
 use crate::shard::ShardSpec;
-use fusa_logicsim::{ActiveCone, BitSim, SoaNetlist, WideCone, WideSim, Workload, WorkloadSuite};
+use fusa_logicsim::{BitSim, SoaNetlist, WideCone, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, NetId, Netlist};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,10 +67,9 @@ pub struct CampaignConfig {
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// advances `64 · lane_words` fault machines through the
     /// structure-of-arrays [`WideSim`] kernel. Supported widths are `1`,
-    /// `4` and `8`; `0` selects the legacy scalar [`BitSim`] path (one
-    /// 64-fault chunk per pass). Outcomes are bit-identical at every
-    /// setting, and checkpoints resume across settings, because the
-    /// checkpoint unit is always the 64-fault chunk.
+    /// `4` and `8`. Outcomes are bit-identical at every width, and
+    /// checkpoints resume across widths, because the checkpoint unit is
+    /// always the 64-fault chunk.
     pub lane_words: usize,
     /// Restrict the campaign to the units owned by one shard of an
     /// `n`-way split (`--shard i/n`). Ownership is a digest-stable
@@ -97,8 +95,8 @@ impl Default for CampaignConfig {
 }
 
 /// Runs stuck-at campaigns: every fault in a [`FaultList`] against every
-/// workload of a [`WorkloadSuite`], `64 · max(lane_words, 1)` fault
-/// machines per simulation pass.
+/// workload of a [`WorkloadSuite`], `64 · lane_words` fault machines per
+/// simulation pass.
 ///
 /// For each workload the golden (fault-free) trace is computed once and
 /// shared read-only; fault machines then run the same vectors with
@@ -196,29 +194,20 @@ struct GroupOutput {
     gate_evals: u64,
 }
 
-/// The cones of one chunk group: the [`BitSim`] form (legacy path and
-/// panic fallback) and, when a wide kernel is active, its
-/// structure-of-arrays form.
-struct ConeEntry {
-    active: ActiveCone,
-    wide: Option<WideCone>,
-}
-
 /// Per-worker wide simulator, monomorphized over the configured width.
 enum WideHolder<'a> {
-    Off,
     W1(WideSim<'a, 1>),
     W4(WideSim<'a, 4>),
     W8(WideSim<'a, 8>),
 }
 
 impl<'a> WideHolder<'a> {
-    fn new(soa: Option<&'a SoaNetlist>, lane_words: usize) -> WideHolder<'a> {
-        match (soa, lane_words) {
-            (Some(soa), 1) => WideHolder::W1(WideSim::new(soa)),
-            (Some(soa), 4) => WideHolder::W4(WideSim::new(soa)),
-            (Some(soa), 8) => WideHolder::W8(WideSim::new(soa)),
-            _ => WideHolder::Off,
+    fn new(soa: &'a SoaNetlist, lane_words: usize) -> WideHolder<'a> {
+        match lane_words {
+            1 => WideHolder::W1(WideSim::new(soa)),
+            4 => WideHolder::W4(WideSim::new(soa)),
+            8 => WideHolder::W8(WideSim::new(soa)),
+            _ => unreachable!("lane_words is validated before any worker starts"),
         }
     }
 
@@ -228,7 +217,7 @@ impl<'a> WideHolder<'a> {
         chunks: &[&[Fault]],
         workload: &Workload,
         trace: &GoldenTrace,
-        cone: Option<(&ActiveCone, &WideCone)>,
+        cone: Option<&WideCone>,
         config: &CampaignConfig,
     ) -> GroupOutput {
         match self {
@@ -241,16 +230,14 @@ impl<'a> WideHolder<'a> {
             WideHolder::W8(sim) => {
                 run_wide_group(sim, netlist, chunks, workload, trace, cone, config)
             }
-            WideHolder::Off => unreachable!("wide groups require lane_words > 0"),
         }
     }
 }
 
-/// Shared context of the scalar attempt loop, used by the legacy
-/// (`lane_words = 0`) path and by the per-member fallback after a wide
-/// pass panics.
+/// Shared context of the per-member fallback after a wide pass panics.
 struct AttemptCtx<'a, 'n> {
     netlist: &'n Netlist,
+    soa: &'a SoaNetlist,
     config: &'a CampaignConfig,
     injection: &'a FaultInjection,
     /// 1 + retry budget.
@@ -260,22 +247,19 @@ struct AttemptCtx<'a, 'n> {
     obs: &'static fusa_obs::Recorder,
 }
 
-impl<'a, 'n> AttemptCtx<'a, 'n> {
-    /// Runs one unit on the scalar kernel under `catch_unwind`: each
-    /// panicking attempt rebuilds the simulator (a panic leaves it in an
-    /// unknown state) and is retried until the budget runs out, then the
-    /// unit is quarantined and `None` returned.
-    #[allow(clippy::too_many_arguments)]
+impl AttemptCtx<'_, '_> {
+    /// Runs one unit alone on a one-word kernel under `catch_unwind`:
+    /// every attempt starts from a fresh simulator (a panic leaves one in
+    /// an unknown state), and a panicking attempt is retried until the
+    /// budget runs out, then the unit is quarantined and `None` returned.
     fn attempt_unit(
         &self,
-        sim: &mut BitSim<'n>,
-        out_buf: &mut [u64],
         unit: usize,
         chunk_index: usize,
         chunk: &[Fault],
         workload: &Workload,
         trace: &GoldenTrace,
-        cone: Option<&ActiveCone>,
+        cone: Option<&WideCone>,
     ) -> Option<UnitOutput> {
         let mut attempt = 0u32;
         loop {
@@ -286,13 +270,23 @@ impl<'a, 'n> AttemptCtx<'a, 'n> {
                     panic!("injected unit fault (unit {unit}, attempt {attempt})");
                 }
                 self.obs.time_rooted("campaign/units", || {
-                    run_unit(sim, chunk, workload, trace, cone, self.config, out_buf)
+                    let mut sim = WideSim::<1>::new(self.soa);
+                    let chunks = [chunk];
+                    let group = run_wide_group(
+                        &mut sim,
+                        self.netlist,
+                        &chunks,
+                        workload,
+                        trace,
+                        cone,
+                        self.config,
+                    );
+                    split_group(group, &chunks).remove(0)
                 })
             }));
             match attempted {
                 Ok(output) => break Some(output),
                 Err(payload) => {
-                    *sim = BitSim::new(self.netlist);
                     if attempt >= self.max_attempts {
                         self.quarantined.lock().expect("quarantine poisoned").push(
                             QuarantinedUnit {
@@ -316,7 +310,7 @@ impl<'a, 'n> AttemptCtx<'a, 'n> {
 /// evaluations are shared by every word of a pass, so they are
 /// attributed evenly (remainder to the first members, keeping the sum
 /// exact and deterministic).
-fn split_group(group: GroupOutput, chunks: &[&[Fault]]) -> Vec<Option<UnitOutput>> {
+fn split_group(group: GroupOutput, chunks: &[&[Fault]]) -> Vec<UnitOutput> {
     let members = chunks.len() as u64;
     let base_evals = group.gate_evals / members;
     let extra = (group.gate_evals % members) as usize;
@@ -325,13 +319,11 @@ fn split_group(group: GroupOutput, chunks: &[&[Fault]]) -> Vec<Option<UnitOutput
         .into_iter()
         .zip(group.first_divergence)
         .zip(chunks.iter().enumerate())
-        .map(|((outcomes, first_divergence), (i, chunk))| {
-            Some(UnitOutput {
-                outcomes,
-                first_divergence,
-                stepped_fault_cycles: chunk.len() as u64 * group.cycles_stepped,
-                gate_evals: base_evals + u64::from(i < extra),
-            })
+        .map(|((outcomes, first_divergence), (i, chunk))| UnitOutput {
+            outcomes,
+            first_divergence,
+            stepped_fault_cycles: chunk.len() as u64 * group.cycles_stepped,
+            gate_evals: base_evals + u64::from(i < extra),
         })
         .collect()
 }
@@ -367,10 +359,10 @@ impl FaultCampaign {
     /// [`DurabilityConfig::max_unit_retries`] times on a fresh simulator
     /// and then quarantined (its faults stay `Benign` and the unit is
     /// listed in [`CampaignReport::quarantined`]). A panic inside a wide
-    /// pass first drops the whole group back to the scalar kernel, so
-    /// one poisoned chunk never takes its groupmates down with it. When
-    /// the durability interrupt flag is set mid-run, in-flight work
-    /// drains, the checkpoint is flushed and the partial report is
+    /// pass first reruns every member of the group alone on a one-word
+    /// kernel, so one poisoned chunk never takes its groupmates down with
+    /// it. When the durability interrupt flag is set mid-run, in-flight
+    /// work drains, the checkpoint is flushed and the partial report is
     /// returned with [`CampaignReport::interrupted`] set.
     pub fn run(
         &self,
@@ -382,7 +374,7 @@ impl FaultCampaign {
         let _span = obs.span("campaign");
         let start = Instant::now();
         let config = self.config;
-        if !matches!(config.lane_words, 0 | 1 | 4 | 8) {
+        if !matches!(config.lane_words, 1 | 4 | 8) {
             return Err(CampaignError::InvalidLaneWords {
                 lane_words: config.lane_words,
             });
@@ -459,9 +451,9 @@ impl FaultCampaign {
         let writer = writer.as_ref();
 
         // Work items are chunk groups: `lane_words` consecutive chunks
-        // of one workload (a single chunk each on the legacy path).
-        // Only pending (not checkpointed) chunks become group members.
-        let group_width = config.lane_words.max(1);
+        // of one workload. Only pending (not checkpointed) chunks become
+        // group members.
+        let group_width = config.lane_words;
         let chunk_group_count = chunk_count.div_ceil(group_width);
         let mut pending_groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for w in 0..workload_list.len() {
@@ -484,9 +476,8 @@ impl FaultCampaign {
             config.threads
         };
         let workers = threads.clamp(1, pending_groups.len().max(1));
-        // The flat tables behind every wide simulator, built once.
-        let soa =
-            (config.lane_words > 0 && !pending_groups.is_empty()).then(|| SoaNetlist::new(netlist));
+        // The flat tables behind every simulator and cone, built once.
+        let soa = (!pending_groups.is_empty()).then(|| SoaNetlist::new(netlist));
         // Heartbeat over the unit work queue; a disabled no-op handle
         // unless a sink is attached or `--progress` enabled stderr.
         // Totals include checkpointed units so a resumed run reports
@@ -504,7 +495,7 @@ impl FaultCampaign {
 
         let golden: Vec<OnceLock<GoldenTrace>> =
             (0..workload_list.len()).map(|_| OnceLock::new()).collect();
-        let cones: Vec<OnceLock<ConeEntry>> =
+        let cones: Vec<OnceLock<WideCone>> =
             (0..chunk_group_count).map(|_| OnceLock::new()).collect();
         let results: Vec<OnceLock<UnitOutput>> = (0..unit_count).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
@@ -532,23 +523,24 @@ impl FaultCampaign {
         let progress = &progress;
         let pending_groups = &pending_groups;
         let injection = &injection;
-        let quarantined_ref = &quarantined;
         let soa = &soa;
-        let attempt_ctx = AttemptCtx {
-            netlist,
-            config: &config,
-            injection,
-            max_attempts: durability.max_unit_retries.saturating_add(1),
-            retries_total: &retries_total,
-            quarantined: quarantined_ref,
-            obs,
-        };
-        let attempt_ctx = &attempt_ctx;
 
         let worker = |busy_slot: &mut f64| {
-            let mut sim = BitSim::new(netlist);
-            let mut wide = WideHolder::new(soa.as_ref(), config.lane_words);
-            let mut out_buf = vec![0u64; netlist.primary_outputs().len()];
+            // No tables means nothing is pending: there is no work to pull.
+            let Some(soa) = soa.as_ref() else {
+                return;
+            };
+            let attempt_ctx = AttemptCtx {
+                netlist,
+                soa,
+                config: &config,
+                injection,
+                max_attempts: durability.max_unit_retries.saturating_add(1),
+                retries_total: &retries_total,
+                quarantined: &quarantined,
+                obs,
+            };
+            let mut wide = WideHolder::new(soa, config.lane_words);
             let mut roots: Vec<GateId> = Vec::with_capacity(LANES * group_width);
             // Thread-local latency/work histograms, merged into the
             // recorder once per worker so the hot loop stays lock-free.
@@ -578,105 +570,63 @@ impl FaultCampaign {
                 // pending members): the cache is shared across
                 // workloads, whose pending sets may differ on resume; a
                 // superset cone is bit-identical for any member.
-                let cone = if config.restrict_to_cone {
-                    Some(cones[cg].get_or_init(|| {
+                let cone = config.restrict_to_cone.then(|| {
+                    cones[cg].get_or_init(|| {
                         obs.time_rooted("campaign/cones", || {
                             let built = Instant::now();
                             roots.clear();
                             let lo = cg * group_width * LANES;
                             let hi = fault_slice.len().min((cg + 1) * group_width * LANES);
                             roots.extend(fault_slice[lo..hi].iter().map(|f| f.gate));
-                            let active = sim.active_cone(&roots);
-                            let wide_cone = soa
-                                .as_ref()
-                                .map(|s| WideCone::from_active(s, netlist, &active));
-                            cone_gates_total
-                                .fetch_add(active.gate_count() as u64, Ordering::Relaxed);
+                            let cone = WideCone::new(soa, netlist, &roots);
+                            cone_gates_total.fetch_add(cone.gate_count() as u64, Ordering::Relaxed);
                             cones_built.fetch_add(1, Ordering::Relaxed);
                             cone_build_nanos
                                 .fetch_add(built.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            ConeEntry {
-                                active,
-                                wide: wide_cone,
-                            }
+                            cone
                         })
-                    }))
-                } else {
-                    None
-                };
+                    })
+                });
 
-                let member_outputs: Vec<Option<UnitOutput>> = if config.lane_words == 0 {
-                    members
-                        .iter()
-                        .map(|&unit| {
-                            let c = unit % chunk_count;
-                            let chunk =
-                                &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)];
-                            attempt_ctx.attempt_unit(
-                                &mut sim,
-                                &mut out_buf,
-                                unit,
-                                c,
-                                chunk,
-                                workload,
-                                trace,
-                                cone.map(|e| &e.active),
-                            )
-                        })
-                        .collect()
-                } else {
-                    let chunks: Vec<&[Fault]> = members
-                        .iter()
-                        .map(|&unit| {
-                            let c = unit % chunk_count;
-                            &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)]
-                        })
-                        .collect();
-                    let inject = members.iter().any(|&unit| injection.should_panic(unit, 1));
-                    let attempted = catch_unwind(AssertUnwindSafe(|| {
-                        if inject {
-                            panic!("injected unit fault (wide group, units {members:?})");
-                        }
-                        obs.time_rooted("campaign/units", || {
-                            wide.run_group(
-                                netlist,
-                                &chunks,
-                                workload,
-                                trace,
-                                cone.map(|e| {
-                                    (&e.active, e.wide.as_ref().expect("wide cone built"))
-                                }),
-                                &config,
-                            )
-                        })
-                    }));
-                    match attempted {
-                        Ok(group) => split_group(group, &chunks),
-                        Err(_) => {
-                            // A panic leaves the wide simulator in an
-                            // unknown state: rebuild it, then re-run
-                            // each member on the scalar kernel with its
-                            // own fresh retry budget so one poisoned
-                            // chunk cannot quarantine its groupmates.
-                            // The group attempt itself is not a retry.
-                            wide = WideHolder::new(soa.as_ref(), config.lane_words);
-                            members
-                                .iter()
-                                .zip(&chunks)
-                                .map(|(&unit, &chunk)| {
-                                    attempt_ctx.attempt_unit(
-                                        &mut sim,
-                                        &mut out_buf,
-                                        unit,
-                                        unit % chunk_count,
-                                        chunk,
-                                        workload,
-                                        trace,
-                                        cone.map(|e| &e.active),
-                                    )
-                                })
-                                .collect()
-                        }
+                let chunks: Vec<&[Fault]> = members
+                    .iter()
+                    .map(|&unit| {
+                        let c = unit % chunk_count;
+                        &fault_slice[c * LANES..fault_slice.len().min((c + 1) * LANES)]
+                    })
+                    .collect();
+                let inject = members.iter().any(|&unit| injection.should_panic(unit, 1));
+                let attempted = catch_unwind(AssertUnwindSafe(|| {
+                    if inject {
+                        panic!("injected unit fault (wide group, units {members:?})");
+                    }
+                    obs.time_rooted("campaign/units", || {
+                        wide.run_group(netlist, &chunks, workload, trace, cone, &config)
+                    })
+                }));
+                let member_outputs: Vec<Option<UnitOutput>> = match attempted {
+                    Ok(group) => split_group(group, &chunks).into_iter().map(Some).collect(),
+                    Err(_) => {
+                        // A panic leaves the wide simulator in an unknown
+                        // state: rebuild it, then re-run each member alone
+                        // with its own fresh retry budget so one poisoned
+                        // chunk cannot quarantine its groupmates. The
+                        // group attempt itself is not a retry.
+                        wide = WideHolder::new(soa, config.lane_words);
+                        members
+                            .iter()
+                            .zip(&chunks)
+                            .map(|(&unit, &chunk)| {
+                                attempt_ctx.attempt_unit(
+                                    unit,
+                                    unit % chunk_count,
+                                    chunk,
+                                    workload,
+                                    trace,
+                                    cone,
+                                )
+                            })
+                            .collect()
                     }
                 };
 
@@ -822,147 +772,17 @@ impl FaultCampaign {
     }
 }
 
-/// Simulates one 64-fault chunk against one workload on the legacy
-/// scalar kernel and classifies each lane's outcome.
-#[allow(clippy::too_many_arguments)]
-fn run_unit(
-    sim: &mut BitSim,
-    chunk: &[Fault],
-    workload: &Workload,
-    trace: &GoldenTrace,
-    cone: Option<&ActiveCone>,
-    config: &CampaignConfig,
-    out_buf: &mut [u64],
-) -> UnitOutput {
-    let output_count = out_buf.len();
-    let min_divergent_cycles =
-        ((config.min_divergence_fraction * workload.len() as f64).ceil() as u32).max(1);
-    let valid: u64 = if chunk.len() == LANES {
-        u64::MAX
-    } else {
-        (1u64 << chunk.len()) - 1
-    };
-
-    sim.reset();
-    sim.clear_forces();
-    for (lane, fault) in chunk.iter().enumerate() {
-        match fault.site {
-            FaultSite::Output => {
-                sim.force_lanes(fault.net, fault.stuck_at.value(), 1u64 << lane);
-            }
-            FaultSite::InputPin(pin) => {
-                sim.force_pin_lanes(fault.gate, pin, fault.stuck_at.value(), 1u64 << lane);
-            }
-        }
-    }
-
-    let full_evals = sim.full_evals_per_cycle();
-    let words = trace.packed_words;
-    let mut diverged: u64 = 0;
-    let mut satisfied: u64 = 0;
-    let mut divergent_cycles = [0u32; LANES];
-    let mut first_divergence: Vec<Option<u32>> = vec![None; chunk.len()];
-    let mut cycles_stepped = 0u64;
-    let mut gate_evals = 0u64;
-
-    for (cycle, vector) in workload.vectors.iter().enumerate() {
-        let mut mismatch: u64 = 0;
-        match cone {
-            Some(cone) => {
-                sim.seed_boundary_packed(cone, &trace.packed_nets[cycle * words..][..words]);
-                sim.settle_restricted(cone);
-                for &(slot, net) in cone.output_slots() {
-                    mismatch |= sim.net_lanes(net) ^ trace.outputs[cycle * output_count + slot];
-                }
-                sim.clock_restricted(cone);
-                gate_evals += cone.evals_per_cycle();
-            }
-            None => {
-                sim.step_broadcast_into(vector, out_buf);
-                for (o, &lanes) in out_buf.iter().enumerate() {
-                    mismatch |= lanes ^ trace.outputs[cycle * output_count + o];
-                }
-                gate_evals += full_evals;
-            }
-        }
-        cycles_stepped += 1;
-        mismatch &= valid;
-        if mismatch != 0 {
-            let newly = mismatch & !diverged;
-            let mut remaining = newly;
-            while remaining != 0 {
-                let lane = remaining.trailing_zeros() as usize;
-                remaining &= remaining - 1;
-                first_divergence[lane] = Some(cycle as u32);
-            }
-            diverged |= newly;
-            let mut counting = mismatch;
-            while counting != 0 {
-                let lane = counting.trailing_zeros() as usize;
-                counting &= counting - 1;
-                divergent_cycles[lane] += 1;
-                if divergent_cycles[lane] == min_divergent_cycles {
-                    satisfied |= 1u64 << lane;
-                }
-            }
-        }
-        // Once every lane has reached the Dangerous threshold no later
-        // cycle can change any outcome or first_divergence, and the
-        // latent sweep is moot (Dangerous takes priority).
-        if config.early_exit && satisfied == valid {
-            break;
-        }
-    }
-
-    // Latent sweep over end-of-workload flop state. Skipped when every
-    // lane is already Dangerous; restricted to cone flops when a cone is
-    // active (non-cone flops are provably golden).
-    let mut state_differs: u64 = 0;
-    if config.classify_latent && satisfied != valid {
-        let flops = match cone {
-            Some(cone) => cone.seq_gates(),
-            None => sim.sequential_gates(),
-        };
-        // The sweep borrows `sim` immutably, so collect XORs in one pass.
-        let mut differs = 0u64;
-        for &g in flops {
-            differs |= sim.flop_lanes(g) ^ trace.final_state_by_gate[g.index()];
-        }
-        state_differs = differs & valid;
-    }
-
-    let mut outcomes = vec![FaultOutcome::Benign; chunk.len()];
-    for (lane, outcome) in outcomes.iter_mut().enumerate() {
-        let mask = 1u64 << lane;
-        *outcome = if divergent_cycles[lane] >= min_divergent_cycles {
-            FaultOutcome::Dangerous
-        } else if diverged & mask != 0 {
-            // Observable but below the divergence-rate threshold.
-            FaultOutcome::Latent
-        } else if config.classify_latent && state_differs & mask != 0 {
-            FaultOutcome::Latent
-        } else {
-            FaultOutcome::Benign
-        };
-    }
-
-    UnitOutput {
-        outcomes,
-        first_divergence,
-        stepped_fault_cycles: chunk.len() as u64 * cycles_stepped,
-        gate_evals,
-    }
-}
-
 /// Simulates up to `W` 64-fault chunks of one workload in a single wide
-/// pass: chunk `i` occupies word `i`, every word shares the broadcast
-/// inputs and the golden trace, and each member's lanes are classified
-/// exactly as [`run_unit`] would.
+/// pass: chunk `i` occupies word `i`, and every word shares the broadcast
+/// inputs and the golden trace. A lane is Dangerous once its primary
+/// outputs differ from golden in at least `min_divergent_cycles` cycles,
+/// Latent if they differ in fewer or (with `classify_latent`) its
+/// end-of-workload flop state differs, and Benign otherwise.
 ///
 /// Early exit fires only when *every* member is fully decided; a word
 /// that is decided earlier keeps stepping harmlessly (its Dangerous
 /// verdicts are monotone and its first-divergence cycles are already
-/// fixed), so per-lane outcomes stay bit-identical to the scalar path.
+/// fixed), so per-lane outcomes do not depend on how chunks are grouped.
 #[allow(clippy::too_many_arguments)]
 fn run_wide_group<const W: usize>(
     sim: &mut WideSim<'_, W>,
@@ -970,7 +790,7 @@ fn run_wide_group<const W: usize>(
     chunks: &[&[Fault]],
     workload: &Workload,
     trace: &GoldenTrace,
-    cone: Option<(&ActiveCone, &WideCone)>,
+    cone: Option<&WideCone>,
     config: &CampaignConfig,
 ) -> GroupOutput {
     let members = chunks.len();
@@ -1015,7 +835,7 @@ fn run_wide_group<const W: usize>(
 
     for (cycle, vector) in workload.vectors.iter().enumerate() {
         match cone {
-            Some((_, wide_cone)) => {
+            Some(wide_cone) => {
                 sim.seed_boundary_packed(wide_cone, &trace.packed_nets[cycle * words..][..words]);
                 sim.settle_restricted(wide_cone);
                 mismatch[..members].fill(0);
@@ -1073,13 +893,15 @@ fn run_wide_group<const W: usize>(
         }
     }
 
-    // Latent sweep per member word, skipped for fully-Dangerous members
-    // exactly like the scalar path.
+    // Latent sweep per member word over end-of-workload flop state,
+    // skipped for fully-Dangerous members (Dangerous takes priority) and
+    // restricted to cone flops when a cone is active (non-cone flops are
+    // provably golden).
     let mut state_differs = [0u64; W];
     if config.classify_latent {
         let all_seq;
         let flops: &[GateId] = match cone {
-            Some((active, _)) => active.seq_gates(),
+            Some(cone) => cone.seq_gates(),
             None => {
                 all_seq = netlist.sequential_gates();
                 &all_seq
@@ -1284,7 +1106,7 @@ mod tests {
             threads: 1,
             restrict_to_cone: false,
             early_exit: false,
-            lane_words: 0,
+            lane_words: 1,
             ..Default::default()
         })
         .run(&netlist, &faults, &workloads)
@@ -1316,59 +1138,20 @@ mod tests {
         }
     }
 
-    /// Every supported lane width must agree lane-for-lane with the
-    /// legacy scalar kernel, under both acceleration settings.
-    #[test]
-    fn lane_widths_are_bit_identical_to_scalar() {
-        let netlist = fusa_netlist::designs::or1200_icfsm();
-        let faults = FaultList::all_sites(&netlist);
-        let workloads = tiny_suite(&netlist, 2, 24);
-        let reference = FaultCampaign::new(CampaignConfig {
-            threads: 1,
-            lane_words: 0,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap();
-        for lane_words in [1usize, 4, 8] {
-            for (restrict_to_cone, early_exit) in [(true, true), (false, false)] {
-                let candidate = FaultCampaign::new(CampaignConfig {
-                    threads: 2,
-                    lane_words,
-                    restrict_to_cone,
-                    early_exit,
-                    ..Default::default()
-                })
-                .run(&netlist, &faults, &workloads)
-                .unwrap();
-                assert_eq!(candidate.stats().lane_words, lane_words);
-                for (a, b) in reference
-                    .workload_reports()
-                    .iter()
-                    .zip(candidate.workload_reports())
-                {
-                    assert_eq!(
-                        a.outcomes, b.outcomes,
-                        "lane_words={lane_words} cone={restrict_to_cone} early={early_exit}"
-                    );
-                    assert_eq!(a.first_divergence, b.first_divergence);
-                }
-            }
-        }
-    }
-
     #[test]
     fn invalid_lane_words_is_a_typed_error() {
         let netlist = inverter_netlist();
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = tiny_suite(&netlist, 1, 8);
-        let err = FaultCampaign::new(CampaignConfig {
-            lane_words: 3,
-            ..Default::default()
-        })
-        .run(&netlist, &faults, &workloads)
-        .unwrap_err();
-        assert_eq!(err, CampaignError::InvalidLaneWords { lane_words: 3 });
+        for lane_words in [0, 3] {
+            let err = FaultCampaign::new(CampaignConfig {
+                lane_words,
+                ..Default::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .unwrap_err();
+            assert_eq!(err, CampaignError::InvalidLaneWords { lane_words });
+        }
     }
 
     /// Early exit must be invisible even with a nonzero Dangerous
@@ -1468,38 +1251,44 @@ mod tests {
             .run(&netlist, &faults, &workloads)
             .unwrap();
         assert_eq!(report.workload_reports()[0].outcomes.len(), faults.len());
-        // Cross-check a fault from the second chunk against a scalar
-        // single-fault run.
-        let target_index = 70;
-        let fault = faults.faults()[target_index];
+        // Cross-check every fault of the second chunk against a
+        // single-fault BitSim run next to a fault-free one: Dangerous on
+        // any output divergence (the default threshold is one cycle),
+        // Latent on differing end-of-workload flop state, else Benign.
         let workload = &workloads[0];
-        let mut sim = BitSim::new(&netlist);
-        sim.force_lanes(fault.net, fault.stuck_at.value(), u64::MAX);
-        let mut golden = BitSim::new(&netlist);
-        let mut diverged = false;
-        for vector in &workload.vectors {
-            let f = sim.step_broadcast(vector);
-            let g = golden.step_broadcast(vector);
-            if f.iter().zip(&g).any(|(a, b)| (a ^ b) & 1 != 0) {
-                diverged = true;
-                break;
+        let wr = &report.workload_reports()[0];
+        let mut seen = std::collections::HashSet::new();
+        for (target_index, fault) in faults.iter().enumerate().skip(64) {
+            let mut sim = BitSim::new(&netlist);
+            sim.force_lanes(fault.net, fault.stuck_at.value(), u64::MAX);
+            let mut golden = BitSim::new(&netlist);
+            let mut first_divergence = None;
+            for (cycle, vector) in workload.vectors.iter().enumerate() {
+                let f = sim.step_broadcast(vector);
+                let g = golden.step_broadcast(vector);
+                if first_divergence.is_none() && f != g {
+                    first_divergence = Some(cycle as u32);
+                }
             }
-        }
-        let expected = if diverged {
-            FaultOutcome::Dangerous
-        } else {
-            report.workload_reports()[0].outcomes[target_index]
-        };
-        assert_eq!(
-            report.workload_reports()[0].outcomes[target_index],
-            expected
-        );
-        if diverged {
-            assert_eq!(
-                report.workload_reports()[0].outcomes[target_index],
+            let state_differs = netlist
+                .sequential_gates()
+                .iter()
+                .any(|&g| sim.flop_lanes(g) != golden.flop_lanes(g));
+            let expected = if first_divergence.is_some() {
                 FaultOutcome::Dangerous
+            } else if state_differs {
+                FaultOutcome::Latent
+            } else {
+                FaultOutcome::Benign
+            };
+            assert_eq!(wr.outcomes[target_index], expected, "fault {target_index}");
+            assert_eq!(
+                wr.first_divergence[target_index], first_divergence,
+                "fault {target_index}"
             );
+            seen.insert(expected);
         }
+        assert!(seen.len() > 1, "second chunk exercises one outcome only");
     }
 
     #[test]
@@ -1743,7 +1532,9 @@ mod tests {
         let faults = FaultList::all_sites(&netlist);
         let workloads = tiny_suite(&netlist, 2, 24);
         let reference = FaultCampaign::new(CampaignConfig {
-            lane_words: 0,
+            lane_words: 1,
+            restrict_to_cone: false,
+            early_exit: false,
             ..Default::default()
         })
         .run(&netlist, &faults, &workloads)

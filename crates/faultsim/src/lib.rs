@@ -3,8 +3,8 @@
 //! This crate is the reproduction's substitute for the commercial fault
 //! simulator used in the paper (Cadence Xcelium, §4.1): it enumerates
 //! stuck-at-0/1 faults on every gate output ([`FaultList`]), runs each
-//! workload against all faults using the 64-lane fault-parallel engine
-//! from [`fusa_logicsim::BitSim`] ([`FaultCampaign`]), classifies each
+//! workload against all faults on the wide fault-parallel kernel
+//! [`fusa_logicsim::WideSim`] ([`FaultCampaign`]), classifies each
 //! (fault, workload) outcome as *Dangerous*, *Latent* or *Benign*
 //! ([`FaultOutcome`]), and finally aggregates per-node criticality scores
 //! and labels exactly as Algorithm 1 of the paper ([`CriticalityDataset`]).

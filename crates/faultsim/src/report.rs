@@ -101,8 +101,8 @@ pub struct CampaignStats {
     pub durability_degraded: bool,
     /// Units never attempted because the campaign was interrupted.
     pub units_skipped: usize,
-    /// Lane width the run used, in 64-lane `u64` words (`0` = legacy
-    /// scalar kernel).
+    /// Lane width the run used, in 64-lane `u64` words (`1`, `4` or
+    /// `8`).
     pub lane_words: usize,
     /// Seconds spent building fanout cones (cone restriction only).
     pub cone_build_seconds: f64,

@@ -5,9 +5,9 @@
 //! equally cares about *transient* upsets: a particle strike flips one
 //! register bit once, and the question is whether the error is flushed,
 //! stays latent in state, or corrupts the outputs. This module injects
-//! one flip per flip-flop per injection cycle, 64 flops per pass, and
-//! aggregates per-flop SEU vulnerability scores analogous to
-//! Algorithm 1's criticality scores.
+//! one flip per flip-flop per injection cycle, `64 · lane_words` flops
+//! per pass on the wide kernel, and aggregates per-flop SEU vulnerability
+//! scores analogous to Algorithm 1's criticality scores.
 
 use fusa_logicsim::{BitSim, SoaNetlist, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, Netlist};
@@ -18,13 +18,10 @@ pub struct SeuConfig {
     /// Cycles (fractions of workload length) at which flips are
     /// injected; each fraction is one injection experiment.
     pub injection_points: [f64; 3],
-    /// Worker threads (`0` = one per CPU).
-    pub threads: usize,
     /// Width of the simulation word in 64-lane `u64` words: each pass
     /// flips `64 · lane_words` flops through the structure-of-arrays
-    /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`; `0`
-    /// selects the legacy scalar [`BitSim`] path. Rates are identical
-    /// at every setting.
+    /// [`WideSim`] kernel. Supported widths are `1`, `4` and `8`; rates
+    /// are identical at every width.
     pub lane_words: usize,
 }
 
@@ -32,7 +29,6 @@ impl Default for SeuConfig {
     fn default() -> Self {
         SeuConfig {
             injection_points: [0.25, 0.5, 0.75],
-            threads: 0,
             lane_words: 4,
         }
     }
@@ -118,13 +114,12 @@ impl SeuCampaign {
         let obs = fusa_obs::global();
         let _span = obs.span("seu");
         assert!(
-            matches!(self.config.lane_words, 0 | 1 | 4 | 8),
-            "unsupported lane_words {}: use 1, 4 or 8, or 0 for the legacy scalar kernel",
+            matches!(self.config.lane_words, 1 | 4 | 8),
+            "unsupported lane_words {}: use 1, 4 or 8",
             self.config.lane_words
         );
         let flops = netlist.sequential_gates();
-        let soa =
-            (self.config.lane_words > 0 && !flops.is_empty()).then(|| SoaNetlist::new(netlist));
+        let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
         let mut corrupted = vec![0usize; flops.len()];
         let mut latent = vec![0usize; flops.len()];
         let mut experiments = 0usize;
@@ -170,10 +165,11 @@ impl SeuCampaign {
     }
 }
 
-/// One injection experiment: `64 · max(lane_words, 1)` flops flipped per
-/// pass at `inject_cycle`. The golden trace always comes from the scalar
-/// broadcast simulator (its `0`/`u64::MAX` lanes compare against any
-/// word), so every lane width scores identically.
+/// One injection experiment: `64 · lane_words` flops flipped per pass at
+/// `inject_cycle`. The golden trace comes from the broadcast [`BitSim`]
+/// (its `0`/`u64::MAX` lanes compare against any word), so every lane
+/// width scores identically. `soa` is `None` only when there are no
+/// flops to flip.
 #[allow(clippy::too_many_arguments)]
 fn run_injection(
     netlist: &Netlist,
@@ -185,6 +181,9 @@ fn run_injection(
     corrupted: &mut [usize],
     latent: &mut [usize],
 ) {
+    let Some(soa) = soa else {
+        return;
+    };
     // Golden trace.
     let mut golden = BitSim::new(netlist);
     let output_count = netlist.primary_outputs().len();
@@ -196,71 +195,22 @@ fn run_injection(
     }
     let golden_state: Vec<u64> = flops.iter().map(|&g| golden.flop_lanes(g)).collect();
 
-    match (soa, lane_words) {
-        (Some(soa), 1) => run_chunks_wide::<1>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        (Some(soa), 4) => run_chunks_wide::<4>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        (Some(soa), 8) => run_chunks_wide::<8>(
-            soa,
-            workload,
-            flops,
-            inject_cycle,
-            &golden_trace,
-            &golden_state,
-            corrupted,
-            latent,
-        ),
-        _ => {
-            let mut sim = BitSim::new(netlist);
-            for (chunk_index, chunk) in flops.chunks(64).enumerate() {
-                sim.reset();
-                let mut diverged: u64 = 0;
-                for (cycle, vector) in workload.vectors.iter().enumerate() {
-                    if cycle == inject_cycle {
-                        for (lane, &flop) in chunk.iter().enumerate() {
-                            sim.schedule_state_flip(flop, 1u64 << lane);
-                        }
-                    }
-                    sim.step_broadcast_into(vector, &mut out_buf);
-                    if cycle > inject_cycle {
-                        for (o, &lanes) in out_buf.iter().enumerate() {
-                            diverged |= lanes ^ golden_trace[cycle * output_count + o];
-                        }
-                    }
-                }
-                let mut state_differs: u64 = 0;
-                for (s, &g) in flops.iter().enumerate() {
-                    state_differs |= sim.flop_lanes(g) ^ golden_state[s];
-                }
-                for (lane, _) in chunk.iter().enumerate() {
-                    let index = chunk_index * 64 + lane;
-                    let mask = 1u64 << lane;
-                    if diverged & mask != 0 {
-                        corrupted[index] += 1;
-                    } else if state_differs & mask != 0 {
-                        latent[index] += 1;
-                    }
-                }
-            }
-        }
-    }
+    let run = match lane_words {
+        1 => run_chunks_wide::<1>,
+        4 => run_chunks_wide::<4>,
+        8 => run_chunks_wide::<8>,
+        _ => unreachable!("lane_words is validated by SeuCampaign::run"),
+    };
+    run(
+        soa,
+        workload,
+        flops,
+        inject_cycle,
+        &golden_trace,
+        &golden_state,
+        corrupted,
+        latent,
+    );
 }
 
 /// Wide sweep of one injection experiment: flop `i` of a group occupies
@@ -405,11 +355,67 @@ mod tests {
         assert!(!report.interrupted);
     }
 
+    /// Independent reference for the wide kernel: the same experiments
+    /// on the 64-lane `BitSim`, one flop per lane, each chunk stepped
+    /// next to its own fault-free run. Returns `(corruption, latent)`
+    /// rates per flop.
+    fn bitsim_reference(
+        netlist: &Netlist,
+        workloads: &WorkloadSuite,
+        config: &SeuConfig,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let flops = netlist.sequential_gates();
+        let mut corrupted = vec![0usize; flops.len()];
+        let mut latent = vec![0usize; flops.len()];
+        let mut experiments = 0usize;
+        for workload in workloads.workloads() {
+            for &fraction in &config.injection_points {
+                let inject_cycle = ((workload.len() as f64 * fraction) as usize)
+                    .min(workload.len().saturating_sub(1));
+                experiments += 1;
+                for (chunk_index, chunk) in flops.chunks(64).enumerate() {
+                    let mut golden = BitSim::new(netlist);
+                    let mut sim = BitSim::new(netlist);
+                    let mut output_differs = 0u64;
+                    for (cycle, vector) in workload.vectors.iter().enumerate() {
+                        if cycle == inject_cycle {
+                            for (lane, &flop) in chunk.iter().enumerate() {
+                                sim.schedule_state_flip(flop, 1u64 << lane);
+                            }
+                        }
+                        let expected = golden.step_broadcast(vector);
+                        let observed = sim.step_broadcast(vector);
+                        for (e, o) in expected.iter().zip(&observed) {
+                            output_differs |= e ^ o;
+                        }
+                    }
+                    let mut state_differs = 0u64;
+                    for &g in &flops {
+                        state_differs |= sim.flop_lanes(g) ^ golden.flop_lanes(g);
+                    }
+                    for lane in 0..chunk.len() {
+                        let index = chunk_index * 64 + lane;
+                        if output_differs >> lane & 1 == 1 {
+                            corrupted[index] += 1;
+                        } else if state_differs >> lane & 1 == 1 {
+                            latent[index] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let denom = experiments.max(1) as f64;
+        (
+            corrupted.iter().map(|&c| c as f64 / denom).collect(),
+            latent.iter().map(|&l| l as f64 / denom).collect(),
+        )
+    }
+
     #[test]
     fn lane_widths_agree_with_scalar() {
         // Differential: every wide width scores the exact same rates as
-        // the legacy scalar sweep on a random sequential netlist with
-        // more flops than one 64-lane word holds.
+        // the BitSim reference on a random sequential netlist with more
+        // flops than one 64-lane word holds.
         use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
         let netlist = random_netlist(&RandomNetlistConfig {
             num_inputs: 6,
@@ -419,24 +425,20 @@ mod tests {
             seed: 11,
         });
         let workloads = suite(&netlist);
-        let run = |lane_words: usize| {
-            SeuCampaign::new(SeuConfig {
+        let (corruption_rate, latent_rate) =
+            bitsim_reference(&netlist, &workloads, &SeuConfig::default());
+        assert!(corruption_rate.len() > 64, "want multi-word flop count");
+        assert!(corruption_rate.iter().any(|&r| r > 0.0));
+        for lane_words in [1usize, 4, 8] {
+            let wide = SeuCampaign::new(SeuConfig {
                 lane_words,
                 ..SeuConfig::default()
             })
-            .run(&netlist, &workloads)
-        };
-        let reference = run(0);
-        assert!(reference.flops.len() > 64, "want multi-word flop count");
-        for lane_words in [1usize, 4, 8] {
-            let wide = run(lane_words);
-            assert_eq!(reference.flops, wide.flops, "W={lane_words}");
-            assert_eq!(
-                reference.corruption_rate, wide.corruption_rate,
-                "W={lane_words}"
-            );
-            assert_eq!(reference.latent_rate, wide.latent_rate, "W={lane_words}");
-            assert_eq!(reference.experiments, wide.experiments, "W={lane_words}");
+            .run(&netlist, &workloads);
+            assert_eq!(wide.flops, netlist.sequential_gates(), "W={lane_words}");
+            assert_eq!(wide.corruption_rate, corruption_rate, "W={lane_words}");
+            assert_eq!(wide.latent_rate, latent_rate, "W={lane_words}");
+            assert_eq!(wide.experiments, 9, "W={lane_words}");
         }
     }
 

@@ -1,13 +1,17 @@
 //! Differential tests: the accelerated campaign hot path (cone
 //! restriction, early exit, multi-threaded unit scheduling) must be
-//! bit-identical to the exhaustive full-netlist reference.
+//! bit-identical to the naive reference campaign in `common`.
 //!
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
-//! `FaultOutcome` and every `first_divergence` cycle across the
-//! acceleration configurations. Any divergence is a correctness bug in
-//! the cone/boundary/early-exit machinery, not a tuning regression.
+//! `FaultOutcome` and every `first_divergence` cycle of each
+//! acceleration configuration against the oracle. Any divergence is a
+//! correctness bug in the cone/boundary/early-exit machinery, not a
+//! tuning regression.
 
+mod common;
+
+use common::{assert_matches_oracle, reference_campaign};
 use fusa_faultsim::{CampaignConfig, CampaignReport, FaultCampaign, FaultList};
 use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
 use fusa_netlist::designs::{random_netlist, RandomNetlistConfig};
@@ -41,43 +45,22 @@ fn run_with(
         min_divergence_fraction: 0.0,
         restrict_to_cone,
         early_exit,
-        // Legacy scalar kernel: the wide-lane differential lives in
-        // tests/lane_equivalence.rs.
-        lane_words: 0,
+        // One chunk per pass, so every chunk gets its own cone; the
+        // wider packings live in tests/lane_equivalence.rs.
+        lane_words: 1,
         shard: None,
     })
     .run(netlist, faults, workloads)
     .expect("campaign runs")
 }
 
-fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate: &CampaignReport) {
-    let (a, b) = (reference.workload_reports(), candidate.workload_reports());
-    assert_eq!(a.len(), b.len(), "{context}: workload count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(
-            x.workload_name, y.workload_name,
-            "{context}: workload order"
-        );
-        assert_eq!(
-            x.outcomes, y.outcomes,
-            "{context}: outcomes differ in workload {}",
-            x.workload_name
-        );
-        assert_eq!(
-            x.first_divergence, y.first_divergence,
-            "{context}: first_divergence differs in workload {}",
-            x.workload_name
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// Cone-restricted simulation, early exit, and the threaded unit
-    /// queue are all bit-identical to the naive single-threaded
-    /// full-netlist campaign — on random netlists, over every stuck-at
-    /// site including input pins, with latent classification on or off.
+    /// queue are all bit-identical to the naive reference campaign — on
+    /// random netlists, over every stuck-at site including input pins,
+    /// with latent classification on or off.
     #[test]
     fn accelerated_campaign_is_bit_identical_on_random_netlists(
         seed in 0u64..1u64 << 48,
@@ -97,22 +80,19 @@ proptest! {
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x570C4);
 
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, classify_latent);
+        let oracle = reference_campaign(&netlist, &faults, &workloads, classify_latent, 0.0);
         for threads in [1usize, 4] {
             for restrict_to_cone in [false, true] {
                 for early_exit in [false, true] {
-                    if threads == 1 && !restrict_to_cone && !early_exit {
-                        continue;
-                    }
                     let candidate = run_with(
                         &netlist, &faults, &workloads,
                         threads, restrict_to_cone, early_exit, classify_latent,
                     );
-                    assert_reports_identical(
+                    assert_matches_oracle(
                         &format!(
                             "threads={threads} cone={restrict_to_cone} early_exit={early_exit} latent={classify_latent}"
                         ),
-                        &reference,
+                        &oracle,
                         &candidate,
                     );
                 }
@@ -129,8 +109,50 @@ fn builtin_designs_cone_on_off_agree() {
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, true);
-        let accelerated = run_with(&netlist, &faults, &workloads, 4, true, true, true);
-        assert_reports_identical(netlist.name(), &reference, &accelerated);
+        let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
+        for (threads, accelerated) in [(1, false), (4, true)] {
+            let candidate = run_with(
+                &netlist,
+                &faults,
+                &workloads,
+                threads,
+                accelerated,
+                accelerated,
+                true,
+            );
+            assert_matches_oracle(
+                &format!("{} accelerated={accelerated}", netlist.name()),
+                &oracle,
+                &candidate,
+            );
+        }
+    }
+}
+
+/// A nonzero Dangerous threshold changes which lanes early exit may
+/// stop on; every width must still match the oracle's threshold rule.
+#[test]
+fn divergence_threshold_matches_oracle() {
+    let netlist = fusa_netlist::designs::or1200_icfsm();
+    let faults = FaultList::all_gate_outputs(&netlist);
+    let workloads = workloads_for(&netlist, 11);
+    for min_divergence_fraction in [0.05, 0.25, 0.9] {
+        let oracle =
+            reference_campaign(&netlist, &faults, &workloads, true, min_divergence_fraction);
+        for lane_words in [1usize, 4] {
+            let candidate = FaultCampaign::new(CampaignConfig {
+                threads: 2,
+                min_divergence_fraction,
+                lane_words,
+                ..CampaignConfig::default()
+            })
+            .run(&netlist, &faults, &workloads)
+            .expect("campaign runs");
+            assert_matches_oracle(
+                &format!("fraction={min_divergence_fraction} W={lane_words}"),
+                &oracle,
+                &candidate,
+            );
+        }
     }
 }

@@ -125,7 +125,7 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0x5eed);
         let config = CampaignConfig {
             threads,
-            lane_words: [0, 1, 4][lane_index],
+            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 
@@ -192,7 +192,7 @@ proptest! {
         let workloads = workloads_for(&netlist, seed ^ 0xdead);
         let config = CampaignConfig {
             threads,
-            lane_words: [0, 1, 4][lane_index],
+            lane_words: [1, 4, 8][lane_index],
             ..CampaignConfig::default()
         };
 

@@ -1,15 +1,19 @@
 //! Differential tests: the wide `[u64; W]` structure-of-arrays kernel
-//! must be bit-identical to the legacy scalar `u64` path.
+//! must be bit-identical to the naive `BitSim` reference campaign in
+//! `common`.
 //!
 //! The proptest generates random sequential netlists, injects every
 //! stuck-at site (gate outputs *and* input pins), and compares every
-//! `FaultOutcome` and every `first_divergence` cycle between the scalar
-//! reference (`lane_words: 0`) and each wide width, across thread
-//! counts and the cone/early-exit accelerations. A second property
-//! checks durability: a checkpoint written at one lane width resumes
-//! bit-identically at another, because the checkpoint unit is always
-//! the 64-fault chunk regardless of how many chunks a pass packs.
+//! `FaultOutcome` and every `first_divergence` cycle between the oracle
+//! and each wide width, across thread counts and the cone/early-exit
+//! accelerations. A second property checks durability: a checkpoint
+//! written at one lane width resumes bit-identically at another,
+//! because the checkpoint unit is always the 64-fault chunk regardless
+//! of how many chunks a pass packs.
 
+mod common;
+
+use common::{assert_matches_oracle, reference_campaign};
 use fusa_faultsim::{
     CampaignConfig, CampaignReport, DurabilityConfig, FaultCampaign, FaultInjection, FaultList,
 };
@@ -52,35 +56,14 @@ fn run_with(
     .expect("campaign runs")
 }
 
-fn assert_reports_identical(context: &str, reference: &CampaignReport, candidate: &CampaignReport) {
-    let (a, b) = (reference.workload_reports(), candidate.workload_reports());
-    assert_eq!(a.len(), b.len(), "{context}: workload count");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(
-            x.workload_name, y.workload_name,
-            "{context}: workload order"
-        );
-        assert_eq!(
-            x.outcomes, y.outcomes,
-            "{context}: outcomes differ in workload {}",
-            x.workload_name
-        );
-        assert_eq!(
-            x.first_divergence, y.first_divergence,
-            "{context}: first_divergence differs in workload {}",
-            x.workload_name
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
     /// Every wide width, under every acceleration combination and
-    /// thread count, reproduces the scalar kernel bit for bit — on
-    /// random netlists over every stuck-at site including input pins.
+    /// thread count, reproduces the oracle bit for bit — on random
+    /// netlists over every stuck-at site including input pins.
     #[test]
-    fn wide_kernel_is_bit_identical_to_scalar(
+    fn wide_kernel_is_bit_identical_to_oracle(
         seed in 0u64..1u64 << 48,
         num_gates in 40usize..120,
         sequential_fraction in 0.05f64..0.4,
@@ -95,7 +78,7 @@ proptest! {
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0x1A9E5);
 
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
         for lane_words in [1usize, 4, 8] {
             for threads in [1usize, 4] {
                 for (restrict_to_cone, early_exit) in [(false, false), (true, true)] {
@@ -103,11 +86,11 @@ proptest! {
                         &netlist, &faults, &workloads,
                         threads, restrict_to_cone, early_exit, lane_words,
                     );
-                    assert_reports_identical(
+                    assert_matches_oracle(
                         &format!(
                             "W={lane_words} threads={threads} cone={restrict_to_cone} early_exit={early_exit}"
                         ),
-                        &reference,
+                        &oracle,
                         &candidate,
                     );
                 }
@@ -116,8 +99,9 @@ proptest! {
     }
 
     /// A `--lanes 512` (`lane_words: 8`) resume of a checkpoint written
-    /// by a `--lanes 64` (`lane_words: 1`) run is bit-identical to an
-    /// uninterrupted scalar campaign, wherever the interruption lands.
+    /// by a `--lanes 64` (`lane_words: 1`) run matches the oracle and
+    /// summarizes identically to an uninterrupted campaign, wherever the
+    /// interruption lands.
     #[test]
     fn resume_across_lane_widths_is_bit_identical(
         seed in 0u64..1u64 << 48,
@@ -133,7 +117,8 @@ proptest! {
         });
         let faults = FaultList::all_sites(&netlist);
         let workloads = workloads_for(&netlist, seed ^ 0xCAFE);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
+        let uninterrupted = run_with(&netlist, &faults, &workloads, 1, true, true, 4);
 
         let path = std::env::temp_dir().join(format!(
             "fusa_lane_equivalence_{}_{seed:x}.jsonl",
@@ -173,8 +158,8 @@ proptest! {
 
         prop_assert!(!resumed.interrupted());
         prop_assert!(resumed.stats().units_from_checkpoint >= interrupt_after);
-        assert_reports_identical("lane 1 -> lane 8 resume", &reference, &resumed);
-        prop_assert_eq!(reference.summary_opts(false), resumed.summary_opts(false));
+        assert_matches_oracle("lane 1 -> lane 8 resume", &oracle, &resumed);
+        prop_assert_eq!(uninterrupted.summary_opts(false), resumed.summary_opts(false));
     }
 }
 
@@ -185,21 +170,47 @@ fn builtin_designs_all_widths_agree() {
     for netlist in fusa_netlist::designs::all_designs() {
         let faults = FaultList::all_gate_outputs(&netlist);
         let workloads = workloads_for(&netlist, 7);
-        let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+        let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
         for lane_words in [1usize, 4, 8] {
             let wide = run_with(&netlist, &faults, &workloads, 4, true, true, lane_words);
-            assert_reports_identical(
+            assert_matches_oracle(
                 &format!("{} W={lane_words}", netlist.name()),
-                &reference,
+                &oracle,
+                &wide,
+            );
+        }
+    }
+
+    // Every stuck-at site, input pins included, on one real design and
+    // with the accelerations both on and off.
+    let netlist = fusa_netlist::designs::or1200_icfsm();
+    let faults = FaultList::all_sites(&netlist);
+    let workloads = workloads_for(&netlist, 42);
+    let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
+    for lane_words in [1usize, 4, 8] {
+        for accelerated in [true, false] {
+            let wide = run_with(
+                &netlist,
+                &faults,
+                &workloads,
+                2,
+                accelerated,
+                accelerated,
+                lane_words,
+            );
+            assert_eq!(wide.stats().lane_words, lane_words);
+            assert_matches_oracle(
+                &format!("or1200_icfsm all sites W={lane_words} accelerated={accelerated}"),
+                &oracle,
                 &wide,
             );
         }
     }
 }
 
-/// The synthetic scaling designs run the wide kernel too: a 10k-gate
-/// generator output at default width matches the scalar reference on a
-/// sampled fault list (full coverage would dominate the test suite).
+/// The synthetic scaling designs run the wide kernel too: a generator
+/// output at the wide widths matches the oracle on its gate-output
+/// fault list.
 #[test]
 fn synthetic_design_widths_agree() {
     let netlist =
@@ -213,9 +224,9 @@ fn synthetic_design_widths_agree() {
         });
     let faults = FaultList::all_gate_outputs(&netlist);
     let workloads = workloads_for(&netlist, 11);
-    let reference = run_with(&netlist, &faults, &workloads, 1, false, false, 0);
+    let oracle = reference_campaign(&netlist, &faults, &workloads, true, 0.0);
     for lane_words in [4usize, 8] {
         let wide = run_with(&netlist, &faults, &workloads, 2, true, true, lane_words);
-        assert_reports_identical(&format!("synthetic W={lane_words}"), &reference, &wide);
+        assert_matches_oracle(&format!("synthetic W={lane_words}"), &oracle, &wide);
     }
 }

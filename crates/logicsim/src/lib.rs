@@ -1,14 +1,19 @@
 //! Gate-level logic simulation for fault-criticality analysis.
 //!
-//! Two simulation engines share the levelized evaluation order from
+//! Three simulation engines share the levelized evaluation order from
 //! [`fusa_netlist`]:
 //!
 //! * [`Simulator`] — a scalar, three-valued (`0`/`1`/`X`) cycle simulator
-//!   with net forcing, used for golden traces, debugging and examples;
-//! * [`BitSim`] — a 64-lane bit-parallel simulator (`u64` per net) used in
-//!   two modes: *pattern-parallel* (64 input vectors at once, driving the
-//!   signal-probability features of §3.1) and *fault-parallel* (64 fault
-//!   machines at once, driving the stuck-at campaigns of §3.2).
+//!   with net forcing, used for debugging and examples;
+//! * [`BitSim`] — a 64-lane bit-parallel simulator (`u64` per net) used
+//!   *pattern-parallel* (64 input vectors at once, driving the
+//!   signal-probability features of §3.1), for the campaigns' golden
+//!   traces, and as the independent reference the wide kernel is
+//!   differentially tested against;
+//! * [`WideSim`] — the structure-of-arrays fault-parallel kernel over
+//!   [`SoaNetlist`] tables: `64·W` fault machines per pass, optionally
+//!   restricted to a fault group's [`WideCone`]; it runs every stuck-at
+//!   and SEU campaign of §3.2.
 //!
 //! [`workload`] generates the input-vector workloads the paper's fault
 //! injection runs against; [`probability`] estimates the intrinsic state
@@ -46,7 +51,7 @@ pub mod value;
 pub mod vcd;
 pub mod workload;
 
-pub use bitsim::{ActiveCone, BitSim};
+pub use bitsim::BitSim;
 pub use probability::{SignalStats, SignalStatsConfig};
 pub use sim::Simulator;
 pub use soa::{SoaNetlist, WideCone, WideSim};

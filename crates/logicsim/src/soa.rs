@@ -23,11 +23,12 @@
 //! the per-word loops compile to SIMD on targets with 256/512-bit
 //! vector units.
 //!
-//! Cone-restricted stepping mirrors [`crate::BitSim`] exactly:
-//! [`WideCone`] is the structure-of-arrays form of
-//! [`crate::ActiveCone`], and [`WideSim::seed_boundary_packed`] /
-//! [`WideSim::settle_restricted`] / [`WideSim::clock_restricted`]
-//! reproduce the restricted schedule bit-for-bit in every word.
+//! Cone-restricted stepping: [`WideCone`] holds the restricted schedule
+//! of one fault group's union fanout cone, and
+//! [`WideSim::seed_boundary_packed`] / [`WideSim::settle_restricted`] /
+//! [`WideSim::clock_restricted`] step only that cone, bit-identical to a
+//! full [`WideSim::settle`] / [`WideSim::clock`] on every net and flop
+//! the cone can influence.
 //!
 //! # Example
 //!
@@ -55,8 +56,7 @@
 //! # }
 //! ```
 
-use crate::bitsim::ActiveCone;
-use fusa_netlist::{GateId, GateKind, Levelizer, NetId, Netlist};
+use fusa_netlist::{fanout_cone, Driver, GateId, GateKind, Levelizer, NetId, Netlist};
 
 /// Maximum input-pin count of any cell in the gate library (the fixed
 /// stride of the flattened input-net table).
@@ -244,14 +244,17 @@ impl SoaNetlist {
     }
 }
 
-/// Structure-of-arrays form of an [`ActiveCone`]: the restricted
-/// schedule, cone flop list, boundary nets and reachable outputs of one
-/// fault chunk group, ready for [`WideSim`]'s restricted stepping.
+/// The restricted evaluation schedule of one fault group's union fanout
+/// cone: which gates to evaluate, which nets form the golden boundary,
+/// and which primary outputs and flip-flops can diverge at all.
 #[derive(Debug, Clone)]
 pub struct WideCone {
     comb: WideSchedule,
     /// Indices into [`SoaNetlist::seq`] of the cone's flip-flops.
     seq_pos: Vec<u32>,
+    /// The cone's flip-flops, in the same order as `seq_pos`.
+    seq_gates: Vec<GateId>,
+    /// Inputs of cone gates driven from outside the cone.
     boundary_nets: Vec<u32>,
     /// `(primary-output slot, net)` pairs a cone fault can reach.
     output_slots: Vec<(u32, u32)>,
@@ -259,26 +262,70 @@ pub struct WideCone {
 }
 
 impl WideCone {
-    /// Converts a [`crate::BitSim`]-built [`ActiveCone`] into flat form.
-    pub fn from_active(soa: &SoaNetlist, netlist: &Netlist, cone: &ActiveCone) -> WideCone {
+    /// Builds the restricted schedule for the union fanout cone of
+    /// `roots` (the fault sites of one chunk group). The cone crosses
+    /// flip-flops, so repeated restricted settle/clock cycles reproduce
+    /// multi-cycle fault propagation exactly.
+    pub fn new(soa: &SoaNetlist, netlist: &Netlist, roots: &[GateId]) -> WideCone {
+        let cone = fanout_cone(netlist, roots);
+        let comb_gates: Vec<GateId> = soa
+            .comb
+            .gate_ids
+            .iter()
+            .map(|&g| GateId(g))
+            .filter(|&g| cone.contains(g))
+            .collect();
+        let (seq_pos, seq_gates): (Vec<u32>, Vec<GateId>) = soa
+            .seq
+            .iter()
+            .enumerate()
+            .map(|(s, flop)| (s as u32, GateId(flop.gate_id)))
+            .filter(|&(_, g)| cone.contains(g))
+            .unzip();
+
+        // Boundary nets: inputs of cone gates driven from outside the
+        // cone (primary inputs or non-cone gates). Their faulty-machine
+        // values are by construction identical to the golden machine, so
+        // they are seeded from the golden snapshot each cycle.
+        let mut seen = vec![false; soa.net_count];
+        let mut boundary_nets = Vec::new();
+        for &g in comb_gates.iter().chain(&seq_gates) {
+            for &net in &netlist.gate(g).inputs {
+                if seen[net.index()] {
+                    continue;
+                }
+                let external = match netlist.net(net).driver {
+                    Some(Driver::Gate(d)) => !cone.contains(d),
+                    _ => true,
+                };
+                if external {
+                    seen[net.index()] = true;
+                    boundary_nets.push(net.index() as u32);
+                }
+            }
+        }
+
+        // Primary outputs a cone fault can reach; all others are
+        // provably golden and need no comparison.
+        let output_slots = netlist
+            .primary_outputs()
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, &(_, net))| match netlist.net(net).driver {
+                Some(Driver::Gate(d)) if cone.contains(d) => {
+                    Some((slot as u32, net.index() as u32))
+                }
+                _ => None,
+            })
+            .collect();
+
         WideCone {
-            comb: WideSchedule::build(netlist, cone.comb_order(), &soa.levels),
-            seq_pos: cone
-                .seq_gates()
-                .iter()
-                .map(|g| soa.seq_pos_of_gate[g.index()])
-                .collect(),
-            boundary_nets: cone
-                .boundary_nets()
-                .iter()
-                .map(|n| n.index() as u32)
-                .collect(),
-            output_slots: cone
-                .output_slots()
-                .iter()
-                .map(|&(slot, net)| (slot as u32, net.index() as u32))
-                .collect(),
-            size: cone.gate_count(),
+            comb: WideSchedule::build(netlist, &comb_gates, &soa.levels),
+            seq_pos,
+            seq_gates,
+            boundary_nets,
+            output_slots,
+            size: cone.len(),
         }
     }
 
@@ -295,6 +342,12 @@ impl WideCone {
     /// `(slot, net)` for each primary output a cone fault can reach.
     pub fn output_slots(&self) -> &[(u32, u32)] {
         &self.output_slots
+    }
+
+    /// Flip-flops inside the cone — the only flops whose faulty state
+    /// can differ from golden (the latent-fault sweep domain).
+    pub fn seq_gates(&self) -> &[GateId] {
+        &self.seq_gates
     }
 }
 
@@ -880,30 +933,20 @@ mod tests {
         }
     }
 
-    /// Cone-restricted wide stepping must match full wide stepping on
-    /// every net the cone can influence (mirrors the BitSim cone tests).
-    #[test]
-    fn restricted_wide_matches_full_wide() {
-        let netlist = random_netlist(&RandomNetlistConfig {
-            num_gates: 120,
-            seed: 17,
-            ..Default::default()
-        });
-        let soa = SoaNetlist::new(&netlist);
-        let ids: Vec<GateId> = gate_ids(&netlist).collect();
-        let roots = [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]];
-        let helper = BitSim::new(&netlist);
-        let active = helper.active_cone(&roots);
-        let cone = WideCone::from_active(&soa, &netlist, &active);
-        assert_eq!(cone.evals_per_cycle(), active.evals_per_cycle());
-
-        let mut golden = BitSim::new(&netlist);
+    /// Drives a full and a cone-restricted `WideSim` with the same
+    /// stuck-at faults (root `i` forced in word `i`) and asserts that
+    /// every cone output and cone flop matches cycle by cycle, and that
+    /// outputs outside the cone never leave the golden trajectory.
+    fn check_restricted_matches_full(netlist: &Netlist, roots: &[GateId], stuck_high: bool) {
+        let soa = SoaNetlist::new(netlist);
+        let cone = WideCone::new(&soa, netlist, roots);
+        let mut golden = BitSim::new(netlist);
         let mut full = WideSim::<4>::new(&soa);
         let mut restricted = WideSim::<4>::new(&soa);
         for (word, &root) in roots.iter().enumerate() {
             let net = netlist.gate(root).output;
-            full.force_lanes(net, true, word, u64::MAX);
-            restricted.force_lanes(net, true, word, u64::MAX);
+            full.force_lanes(net, stuck_high, word, u64::MAX);
+            restricted.force_lanes(net, stuck_high, word, u64::MAX);
         }
 
         let mut rng = ChaCha8Rng::seed_from_u64(0xC0DE);
@@ -929,13 +972,18 @@ mod tests {
                         "output slot {slot} word {word} diverged"
                     );
                 }
+                for (slot, &(_, net)) in netlist.primary_outputs().iter().enumerate() {
+                    if !cone.output_slots().iter().any(|&(s, _)| s as usize == slot) {
+                        assert_eq!(full.net_word(net, word), golden.net_lanes(net));
+                    }
+                }
             }
 
             golden.clock();
             full.clock();
             restricted.clock_restricted(&cone);
 
-            for &g in active.seq_gates() {
+            for &g in cone.seq_gates() {
                 for word in 0..4 {
                     assert_eq!(
                         restricted.flop_word(g, word),
@@ -945,6 +993,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Cone-restricted wide stepping must match full wide stepping on
+    /// every net the cone can influence, for a multi-root union cone.
+    #[test]
+    fn restricted_wide_matches_full_wide() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 120,
+            seed: 17,
+            ..Default::default()
+        });
+        let ids: Vec<GateId> = gate_ids(&netlist).collect();
+        let roots = [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]];
+        check_restricted_matches_full(&netlist, &roots, true);
+        check_restricted_matches_full(&netlist, &roots, false);
+    }
+
+    /// The same check for single-root cones across several designs and
+    /// both stuck-at polarities.
+    #[test]
+    fn restricted_cone_matches_full_on_random_designs() {
+        for seed in [3u64, 17, 91] {
+            let netlist = random_netlist(&RandomNetlistConfig {
+                num_gates: 120,
+                seed,
+                ..Default::default()
+            });
+            let ids: Vec<GateId> = gate_ids(&netlist).collect();
+            for root in [ids[0], ids[ids.len() / 2], ids[ids.len() - 1]] {
+                check_restricted_matches_full(&netlist, &[root], true);
+                check_restricted_matches_full(&netlist, &[root], false);
+            }
+        }
+    }
+
+    #[test]
+    fn cone_schedule_is_smaller_than_netlist_for_local_faults() {
+        let netlist = random_netlist(&RandomNetlistConfig {
+            num_gates: 300,
+            seed: 5,
+            ..Default::default()
+        });
+        let soa = SoaNetlist::new(&netlist);
+        // At least one gate's cone must be a strict subset on a 300-gate
+        // design; the last-created gates have shallow fanout.
+        let smallest = gate_ids(&netlist)
+            .map(|g| WideCone::new(&soa, &netlist, &[g]).evals_per_cycle())
+            .min()
+            .unwrap();
+        assert!(smallest < soa.full_evals_per_cycle());
     }
 
     #[test]

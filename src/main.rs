@@ -76,17 +76,7 @@ const RUN_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--lanes",
         value: Some("N"),
-        help: "fault lanes per simulation pass: 64, 256 or 512 (default 256); `scalar` selects the legacy kernel",
-    },
-    FlagSpec {
-        name: "--no-cone",
-        value: None,
-        help: "disable cone-restricted fault simulation",
-    },
-    FlagSpec {
-        name: "--no-early-exit",
-        value: None,
-        help: "disable campaign early exit",
+        help: "fault lanes per simulation pass: 64, 256 or 512 (default 256)",
     },
     FlagSpec {
         name: "--trace-out",
@@ -712,28 +702,17 @@ fn pipeline_config(args: &[String]) -> Result<PipelineConfig, String> {
     } else {
         PipelineConfig::default()
     };
-    // Campaign accelerations are bit-identical to the naive path; these
-    // knobs exist for benchmarking and cross-checking.
-    if args.iter().any(|a| a == "--no-cone") {
-        config.campaign.restrict_to_cone = false;
-    }
-    if args.iter().any(|a| a == "--no-early-exit") {
-        config.campaign.early_exit = false;
-    }
-    if let Some(threads) = flag_value(args, "--threads").and_then(|t| t.parse().ok()) {
-        config.campaign.threads = threads;
+    if let Some(threads) = flag_value(args, "--threads") {
+        config.campaign.threads = threads
+            .parse()
+            .map_err(|_| format!("bad --threads value `{threads}`"))?;
     }
     if let Some(lanes) = flag_value(args, "--lanes") {
         config.campaign.lane_words = match lanes {
-            "scalar" => 0,
             "64" => 1,
             "256" => 4,
             "512" => 8,
-            other => {
-                return Err(format!(
-                    "bad --lanes value `{other}`: use 64, 256, 512 or scalar"
-                ))
-            }
+            other => return Err(format!("bad --lanes value `{other}`: use 64, 256 or 512")),
         };
     }
     if args.iter().any(|a| a == "--structural-features") {
@@ -1023,7 +1002,7 @@ fn manifest_config(config: &PipelineConfig) -> (ConfigEntries, SeedEntries) {
         ("campaign.chunk_faults".to_string(), "64".to_string()),
         (
             "campaign.faults_per_pass".to_string(),
-            (64 * config.campaign.lane_words.max(1)).to_string(),
+            (64 * config.campaign.lane_words).to_string(),
         ),
         (
             "criticality_threshold".to_string(),

@@ -512,6 +512,29 @@ fn unknown_flag_is_rejected() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("needs a value"));
 }
 
+/// Malformed campaign options fail loudly instead of silently falling
+/// back to a default, and the removed knobs are unknown flags.
+#[test]
+fn bad_campaign_options_are_rejected() {
+    let run_dir = std::env::temp_dir().join("fusa_cli_bad_campaign_options");
+    let run_dir = run_dir.to_str().unwrap();
+    let reject = |extra: &[&str], message: &str| {
+        let output = fusa()
+            .args(["faults", "or1200_icfsm", "--fast", "--run-dir", run_dir])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(!output.status.success(), "{extra:?} was accepted");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+    };
+    reject(&["--threads", "abc"], "bad --threads value `abc`");
+    reject(&["--lanes", "scalar"], "bad --lanes value `scalar`");
+    reject(&["--lanes", "128"], "bad --lanes value `128`");
+    reject(&["--no-cone"], "unknown flag `--no-cone`");
+    reject(&["--no-early-exit"], "unknown flag `--no-early-exit`");
+}
+
 #[test]
 fn usage_lists_every_command() {
     let output = fusa().output().unwrap();
