@@ -1,6 +1,8 @@
 //! The GCN models: Table-1 classifier and §3.4 regressor.
 
-use fusa_neuro::layers::{Dropout, GraphConv, LogSoftmax, Relu};
+use fusa_neuro::layers::{
+    log_softmax_backward_in_place, log_softmax_rows_in_place, Dense, Dropout,
+};
 use fusa_neuro::{CsrMatrix, Matrix, Param};
 
 /// Architecture hyper-parameters for [`GcnClassifier`] /
@@ -104,12 +106,125 @@ impl GcnConfig {
     }
 }
 
-/// Shared GCN trunk: stacked GraphConv+ReLU with one dropout, then a
-/// projection GraphConv.
+/// Activation and gradient buffers of trunk passes over one `N`-node
+/// graph.
+///
+/// Built once and overwritten by every pass, so repeated passes
+/// (training epochs, explainer iterations) allocate no `N × width`
+/// matrix. Layer `l` maps width `widths[l]` to `widths[l + 1]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Workspace {
+    /// The layer-0 input `X`, kept only by the model-level API, whose
+    /// edge gradients read it. Training never fills it.
+    input: Option<Matrix>,
+    /// `aggregated[l] = Â·H_l`, layer `l`'s input after neighbour
+    /// aggregation. `aggregated[0] = Â·X` is written by the caller.
+    aggregated: Vec<Matrix>,
+    /// `outputs[l]`: layer `l` after its bias and, for hidden layers,
+    /// ReLU and dropout applied in place — the next layer's input. The
+    /// last entry is the trunk output.
+    outputs: Vec<Matrix>,
+    /// Hidden-layer ReLU masks of the last forward pass that kept them.
+    relu_keep: Vec<Vec<bool>>,
+    /// `grad_outputs[l]`: `∂L/∂` layer `l`'s output before its
+    /// activation; the caller writes the last entry from the loss.
+    /// This and the other gradient buffers are allocated by the first
+    /// backward pass.
+    grad_outputs: Vec<Matrix>,
+    /// `grad_aggregated[l] = ∂L/∂(Â·H_l)`.
+    grad_aggregated: Vec<Matrix>,
+    /// Per-layer weight-gradient scratch, `widths[l] × widths[l + 1]`.
+    weight_grads: Vec<Matrix>,
+}
+
+impl Workspace {
+    fn new(rows: usize, widths: &[usize]) -> Workspace {
+        let layers = widths.len() - 1;
+        Workspace {
+            input: None,
+            aggregated: (0..layers)
+                .map(|l| Matrix::zeros(rows, widths[l]))
+                .collect(),
+            outputs: (0..layers)
+                .map(|l| Matrix::zeros(rows, widths[l + 1]))
+                .collect(),
+            relu_keep: vec![Vec::new(); layers - 1],
+            ..Workspace::default()
+        }
+    }
+
+    /// `true` if the buffers are shaped for `rows` nodes and `widths`.
+    fn fits(&self, rows: usize, widths: &[usize]) -> bool {
+        self.aggregated.len() + 1 == widths.len()
+            && self
+                .aggregated
+                .iter()
+                .zip(widths)
+                .all(|(m, &w)| m.shape() == (rows, w))
+    }
+
+    fn allocate_gradients(&mut self) {
+        if !self.grad_outputs.is_empty() {
+            return;
+        }
+        let zeros_like = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        self.grad_outputs = self.outputs.iter().map(zeros_like).collect();
+        self.grad_aggregated = self.aggregated.iter().map(zeros_like).collect();
+        self.weight_grads = self
+            .aggregated
+            .iter()
+            .zip(&self.outputs)
+            .map(|(a, o)| Matrix::zeros(a.cols(), o.cols()))
+            .collect();
+    }
+
+    /// Writes `Â·x`, the first layer's aggregated input.
+    pub(crate) fn aggregate_input(&mut self, adj: &CsrMatrix, x: &Matrix) {
+        adj.matmul_into(x, &mut self.aggregated[0]);
+    }
+
+    /// The trunk output of the last forward pass.
+    pub(crate) fn output(&self) -> &Matrix {
+        self.outputs.last().expect("workspace has layers")
+    }
+
+    /// The trunk output, for a head applied in place.
+    pub(crate) fn output_mut(&mut self) -> &mut Matrix {
+        self.outputs.last_mut().expect("workspace has layers")
+    }
+
+    /// The trunk output and its gradient buffer, which the loss fills
+    /// before a backward pass.
+    pub(crate) fn output_and_grad(&mut self) -> (&Matrix, &mut Matrix) {
+        self.allocate_gradients();
+        (
+            self.outputs.last().expect("workspace has layers"),
+            self.grad_outputs.last_mut().expect("workspace has layers"),
+        )
+    }
+
+    fn into_output(mut self) -> Matrix {
+        self.outputs.pop().expect("workspace has layers")
+    }
+
+    /// Stores `x` as the layer-0 input and writes `Â·x`.
+    fn set_input(&mut self, adj: &CsrMatrix, x: &Matrix) {
+        match &mut self.input {
+            Some(input) if input.shape() == x.shape() => input.copy_from(x),
+            slot => *slot = Some(x.clone()),
+        }
+        self.aggregate_input(adj, x);
+    }
+}
+
+/// Shared GCN trunk: stacked graph convolutions + ReLU with one dropout,
+/// then a projection graph convolution. Layer `l` computes
+/// `Â·H_l·W_l + b_l` (Eq. 2). The trunk holds the parameters;
+/// activations live in a [`Workspace`].
 #[derive(Debug, Clone)]
-struct GcnTrunk {
-    convs: Vec<GraphConv>,
-    relus: Vec<Relu>,
+pub(crate) struct GcnTrunk {
+    /// Each convolution's dense transform `W_l`, `b_l`.
+    layers: Vec<Dense>,
     dropout: Dropout,
     dropout_position: usize,
 }
@@ -117,113 +232,239 @@ struct GcnTrunk {
 impl GcnTrunk {
     fn new(config: &GcnConfig, out_features: usize) -> GcnTrunk {
         assert!(!config.hidden.is_empty(), "need at least one hidden layer");
-        let mut convs = Vec::new();
         let mut widths = vec![config.in_features];
         widths.extend_from_slice(&config.hidden);
         widths.push(out_features);
-        for (i, pair) in widths.windows(2).enumerate() {
-            convs.push(GraphConv::new(
-                pair[0],
-                pair[1],
-                config.seed.wrapping_add(i as u64 * 7919),
-            ));
-        }
-        let relus = vec![Relu::new(); config.hidden.len()];
+        let layers = widths
+            .windows(2)
+            .enumerate()
+            .map(|(i, pair)| {
+                Dense::new(pair[0], pair[1], config.seed.wrapping_add(i as u64 * 7919))
+            })
+            .collect();
         GcnTrunk {
-            convs,
-            relus,
+            layers,
             dropout: Dropout::new(config.dropout, config.seed.wrapping_add(0xD60)),
             dropout_position: config.dropout_position(),
         }
     }
 
-    /// Caching forward pass. `training` controls dropout.
-    fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        let mut h = x.clone();
-        let hidden_count = self.relus.len();
-        for i in 0..hidden_count {
-            h = self.convs[i].forward(adj, &h);
-            h = self.relus[i].forward(&h);
-            if i == self.dropout_position {
-                h = if training {
-                    self.dropout.forward(&h)
-                } else {
-                    self.dropout.forward_inference(&h)
-                };
-            }
-        }
-        self.convs[hidden_count].forward(adj, &h)
+    /// Feature widths from the input through every layer's output.
+    fn widths(&self) -> Vec<usize> {
+        std::iter::once(self.layers[0].in_features())
+            .chain(self.layers.iter().map(Dense::out_features))
+            .collect()
     }
 
-    /// Cache-free inference pass.
-    fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let hidden_count = self.relus.len();
-        for i in 0..hidden_count {
-            h = self.convs[i].forward_inference(adj, &h);
-            h = h.map(|v| v.max(0.0));
-        }
-        self.convs[hidden_count].forward_inference(adj, &h)
+    /// Buffers for repeated passes over a `rows`-node graph.
+    pub(crate) fn workspace(&self, rows: usize) -> Workspace {
+        Workspace::new(rows, &self.widths())
     }
 
-    /// Backward pass. Returns `∂L/∂X`; if `edge_grads` is `Some`, the
-    /// per-CSR-entry adjacency gradients of every layer are accumulated
-    /// into it.
-    fn backward(
+    /// The model-level caching forward: (re)shapes `cache` for `x`,
+    /// stores `x` for edge gradients and runs a forward pass that keeps
+    /// the backward state.
+    fn forward_cached(
         &mut self,
+        cache: &mut Workspace,
         adj: &CsrMatrix,
-        grad_output: &Matrix,
-        mut edge_grads: Option<&mut Vec<f64>>,
+        x: &Matrix,
         training: bool,
-    ) -> Matrix {
-        let hidden_count = self.relus.len();
-        let mut grad = grad_output.clone();
-        grad = self.backward_conv(hidden_count, adj, &grad, &mut edge_grads);
-        for i in (0..hidden_count).rev() {
-            if i == self.dropout_position && training {
-                grad = self.dropout.backward(&grad);
-            }
-            grad = self.relus[i].backward(&grad);
-            grad = self.backward_conv(i, adj, &grad, &mut edge_grads);
+    ) {
+        if !cache.fits(x.rows(), &self.widths()) {
+            *cache = self.workspace(x.rows());
         }
-        grad
+        cache.set_input(adj, x);
+        self.forward(cache, adj, training);
     }
 
-    fn backward_conv(
+    /// Caching forward pass over `ws`, whose first aggregated input
+    /// must hold `Â·X`. `training` applies dropout.
+    pub(crate) fn forward(&mut self, ws: &mut Workspace, adj: &CsrMatrix, training: bool) {
+        let dropout = training.then_some((&mut self.dropout, self.dropout_position));
+        run_forward(&self.layers, ws, adj, dropout, true);
+    }
+
+    /// Inference pass over `ws` (no dropout, no backward state).
+    pub(crate) fn forward_inference(&self, ws: &mut Workspace, adj: &CsrMatrix) {
+        run_forward(&self.layers, ws, adj, None, false);
+    }
+
+    /// Cache-free inference pass on a fresh workspace.
+    fn infer(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
+        let mut ws = self.workspace(x.rows());
+        ws.aggregate_input(adj, x);
+        self.forward_inference(&mut ws, adj);
+        ws.into_output()
+    }
+
+    /// Backward pass from the output gradient in `ws` (written by the
+    /// caller) through the last caching forward pass, accumulating every
+    /// parameter gradient. `adj_t` is `Âᵀ`.
+    ///
+    /// With `input_grad`, returns `∂L/∂X`; without it the first layer's
+    /// input gradient, which training never reads, is not computed. If
+    /// `edge_grads` is `Some`, the per-CSR-entry adjacency gradients of
+    /// every layer are accumulated into it (this needs the stored layer-0
+    /// input, so it requires `input_grad`).
+    pub(crate) fn backward(
         &mut self,
-        index: usize,
+        ws: &mut Workspace,
         adj: &CsrMatrix,
-        grad: &Matrix,
-        edge_grads: &mut Option<&mut Vec<f64>>,
-    ) -> Matrix {
-        match edge_grads {
-            Some(acc) => {
-                let (grad_x, grads) = self.convs[index].backward_with_edge_grads(adj, grad);
+        adj_t: &CsrMatrix,
+        training: bool,
+        input_grad: bool,
+        mut edge_grads: Option<&mut Vec<f64>>,
+    ) -> Option<Matrix> {
+        ws.allocate_gradients();
+        for l in (0..self.layers.len()).rev() {
+            let layer = &mut self.layers[l];
+            let grad_out = &ws.grad_outputs[l];
+            ws.aggregated[l].transpose_matmul_into(grad_out, &mut ws.weight_grads[l]);
+            layer.weight.accumulate_grad(&ws.weight_grads[l]);
+            let bias_grad = Matrix::from_vec(1, grad_out.cols(), grad_out.column_sums());
+            layer.bias.accumulate_grad(&bias_grad);
+            if l == 0 && !input_grad {
+                return None;
+            }
+
+            grad_out.matmul_transpose_into(&layer.weight.value, &mut ws.grad_aggregated[l]);
+            if let Some(acc) = edge_grads.as_deref_mut() {
+                let layer_input = match l {
+                    0 => ws
+                        .input
+                        .as_ref()
+                        .expect("edge gradients need the stored input"),
+                    _ => &ws.outputs[l - 1],
+                };
+                let grads = adj.edge_gradients(&ws.grad_aggregated[l], layer_input);
                 if acc.is_empty() {
-                    **acc = grads;
+                    *acc = grads;
                 } else {
                     for (a, g) in acc.iter_mut().zip(grads) {
                         *a += g;
                     }
                 }
-                grad_x
             }
-            None => self.convs[index].backward(adj, grad),
+            if l == 0 {
+                let grad_aggregated = &ws.grad_aggregated[0];
+                let mut grad_x = Matrix::zeros(adj_t.rows(), grad_aggregated.cols());
+                adj_t.matmul_into(grad_aggregated, &mut grad_x);
+                return Some(grad_x);
+            }
+
+            // ∂L/∂H_l = Âᵀ·∂L/∂(Â·H_l), then back through layer l-1's
+            // dropout and ReLU.
+            let grad = &mut ws.grad_outputs[l - 1];
+            adj_t.matmul_into(&ws.grad_aggregated[l], grad);
+            if training && l - 1 == self.dropout_position {
+                self.dropout.backward_in_place(grad);
+            }
+            let keep = &ws.relu_keep[l - 1];
+            assert_eq!(
+                keep.len(),
+                grad.as_slice().len(),
+                "backward requires a prior caching forward pass"
+            );
+            for (g, &kept) in grad.as_mut_slice().iter_mut().zip(keep) {
+                *g = if kept { *g } else { 0.0 };
+            }
+        }
+        unreachable!("the layer-0 step returns")
+    }
+
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.layers.iter_mut().flat_map(Dense::params_mut).collect()
+    }
+
+    /// Every parameter value, in [`GcnTrunk::params_mut`] order.
+    fn param_values(&self) -> impl Iterator<Item = &Matrix> {
+        self.layers
+            .iter()
+            .flat_map(|layer| [&layer.weight.value, &layer.bias.value])
+    }
+
+    /// Copies every parameter value into `out` (cleared first).
+    pub(crate) fn save_params(&self, out: &mut Vec<f64>) {
+        out.clear();
+        for value in self.param_values() {
+            out.extend_from_slice(value.as_slice());
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.convs.iter_mut().flat_map(|c| c.params_mut()).collect()
+    /// Restores parameter values saved by [`GcnTrunk::save_params`].
+    pub(crate) fn load_params(&mut self, saved: &[f64]) {
+        let mut rest = saved;
+        for param in self.params_mut() {
+            let (head, tail) = rest.split_at(param.len());
+            param.value.as_mut_slice().copy_from_slice(head);
+            rest = tail;
+        }
+        assert!(rest.is_empty(), "saved parameter count mismatch");
     }
 
     fn parameter_count(&self) -> usize {
-        self.convs
-            .iter()
-            .map(|c| {
-                c.linear.weight.value.rows() * c.linear.weight.value.cols()
-                    + c.linear.bias.value.cols()
-            })
-            .sum()
+        self.param_values().map(|v| v.as_slice().len()).sum()
+    }
+}
+
+/// One forward pass of the trunk `layers` over `ws`. `dropout` is the
+/// training dropout layer and its position; `keep_masks` records the
+/// ReLU masks a backward pass needs.
+fn run_forward(
+    layers: &[Dense],
+    ws: &mut Workspace,
+    adj: &CsrMatrix,
+    mut dropout: Option<(&mut Dropout, usize)>,
+    keep_masks: bool,
+) {
+    let last = layers.len() - 1;
+    for (l, layer) in layers.iter().enumerate() {
+        if l > 0 {
+            adj.matmul_into(&ws.outputs[l - 1], &mut ws.aggregated[l]);
+        }
+        let out = &mut ws.outputs[l];
+        ws.aggregated[l].matmul_into(&layer.weight.value, out);
+        let bias = layer.bias.value.row(0);
+        if l == last {
+            out.add_row_in_place(bias);
+            break;
+        }
+        bias_relu_in_place(out, bias, keep_masks.then_some(&mut ws.relu_keep[l]));
+        if let Some((dropout, position)) = dropout.as_mut() {
+            if l == *position {
+                dropout.forward_in_place(out);
+            }
+        }
+    }
+}
+
+/// A hidden layer's bias and ReLU in one pass: `v ← max(v + b, 0)` row
+/// by row, recording the ReLU mask `v + b > 0` in `keep` when given.
+fn bias_relu_in_place(out: &mut Matrix, bias: &[f64], keep: Option<&mut Vec<bool>>) {
+    let width = out.cols();
+    if width == 0 {
+        return;
+    }
+    match keep {
+        Some(keep) => {
+            keep.resize(out.as_slice().len(), false);
+            let rows = out.as_mut_slice().chunks_exact_mut(width);
+            for (row, kept) in rows.zip(keep.chunks_exact_mut(width)) {
+                for ((v, k), &b) in row.iter_mut().zip(kept).zip(bias) {
+                    let y = *v + b;
+                    *k = y > 0.0;
+                    *v = y.max(0.0);
+                }
+            }
+        }
+        None => {
+            for row in out.as_mut_slice().chunks_exact_mut(width) {
+                for (v, &b) in row.iter_mut().zip(bias) {
+                    *v = (*v + b).max(0.0);
+                }
+            }
+        }
     }
 }
 
@@ -248,7 +489,9 @@ impl GcnTrunk {
 pub struct GcnClassifier {
     config: GcnConfig,
     trunk: GcnTrunk,
-    log_softmax: LogSoftmax,
+    /// Buffers of the last [`GcnClassifier::forward`], read by the
+    /// backward passes.
+    cache: Workspace,
 }
 
 /// Number of output classes (Critical / Non-critical).
@@ -263,7 +506,7 @@ impl GcnClassifier {
     pub fn new(config: GcnConfig) -> GcnClassifier {
         GcnClassifier {
             trunk: GcnTrunk::new(&config, NUM_CLASSES),
-            log_softmax: LogSoftmax::new(),
+            cache: Workspace::default(),
             config,
         }
     }
@@ -276,35 +519,75 @@ impl GcnClassifier {
     /// Caching forward pass returning per-node log class probabilities
     /// (`N × 2`). Set `training` for dropout.
     pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        let logits = self.trunk.forward(adj, x, training);
-        self.log_softmax.forward(&logits)
+        self.trunk.forward_cached(&mut self.cache, adj, x, training);
+        let log_probs = self.cache.outputs.last_mut().expect("workspace has layers");
+        log_softmax_rows_in_place(log_probs);
+        log_probs.clone()
     }
 
     /// Cache-free inference pass.
     pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        fusa_neuro::layers::log_softmax_rows(&self.trunk.forward_inference(adj, x))
+        let mut log_probs = self.trunk.infer(adj, x);
+        log_softmax_rows_in_place(&mut log_probs);
+        log_probs
     }
 
     /// Backward pass from the log-probability gradient. Returns
     /// `∂L/∂X`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`GcnClassifier::forward`].
     pub fn backward(&mut self, adj: &CsrMatrix, grad_log_probs: &Matrix, training: bool) -> Matrix {
-        let grad = self.log_softmax.backward(grad_log_probs);
-        self.trunk.backward(adj, &grad, None, training)
+        self.cached_backward(adj, grad_log_probs, training, None)
     }
 
     /// Backward pass that also accumulates per-CSR-entry adjacency
     /// gradients (summed over all convolution layers) for the explainer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`GcnClassifier::forward`].
     pub fn backward_with_edge_grads(
         &mut self,
         adj: &CsrMatrix,
         grad_log_probs: &Matrix,
     ) -> (Matrix, Vec<f64>) {
-        let grad = self.log_softmax.backward(grad_log_probs);
         let mut edge_grads = Vec::new();
-        let grad_x = self
-            .trunk
-            .backward(adj, &grad, Some(&mut edge_grads), false);
+        let grad_x = self.cached_backward(adj, grad_log_probs, false, Some(&mut edge_grads));
         (grad_x, edge_grads)
+    }
+
+    fn cached_backward(
+        &mut self,
+        adj: &CsrMatrix,
+        grad_log_probs: &Matrix,
+        training: bool,
+        edge_grads: Option<&mut Vec<f64>>,
+    ) -> Matrix {
+        assert!(
+            self.cache.input.is_some(),
+            "GcnClassifier::backward requires a prior forward call"
+        );
+        let (log_probs, grad) = self.cache.output_and_grad();
+        grad.copy_from(grad_log_probs);
+        log_softmax_backward_in_place(log_probs, grad);
+        self.trunk
+            .backward(
+                &mut self.cache,
+                adj,
+                &adj.transpose(),
+                training,
+                true,
+                edge_grads,
+            )
+            .expect("input gradient requested")
+    }
+
+    /// The shared trunk, for training loops that run it on their own
+    /// [`Workspace`] and apply the log-softmax head themselves.
+    pub(crate) fn trunk_mut(&mut self) -> &mut GcnTrunk {
+        &mut self.trunk
     }
 
     /// Per-node predicted class: `argmax` over the output probabilities.
@@ -314,10 +597,7 @@ impl GcnClassifier {
 
     /// Per-node probability of the "Critical" class (class 1).
     pub fn predict_critical_probability(&self, adj: &CsrMatrix, x: &Matrix) -> Vec<f64> {
-        let log_probs = self.forward_inference(adj, x);
-        (0..log_probs.rows())
-            .map(|r| log_probs.get(r, 1).exp())
-            .collect()
+        critical_probability(&self.forward_inference(adj, x))
     }
 
     /// All trainable parameters in a stable order.
@@ -336,6 +616,14 @@ impl GcnClassifier {
     }
 }
 
+/// Per-node probability of the "Critical" class from `N × 2`
+/// log-probabilities.
+pub(crate) fn critical_probability(log_probs: &Matrix) -> Vec<f64> {
+    (0..log_probs.rows())
+        .map(|r| log_probs.get(r, 1).exp())
+        .collect()
+}
+
 /// The criticality-score regressor of §3.4: the classifier trunk with the
 /// log-softmax removed and output width 1.
 ///
@@ -346,6 +634,9 @@ impl GcnClassifier {
 pub struct GcnRegressor {
     config: GcnConfig,
     trunk: GcnTrunk,
+    /// Buffers of the last [`GcnRegressor::forward`], read by
+    /// [`GcnRegressor::backward`].
+    cache: Workspace,
 }
 
 impl GcnRegressor {
@@ -357,6 +648,7 @@ impl GcnRegressor {
     pub fn new(config: GcnConfig) -> GcnRegressor {
         GcnRegressor {
             trunk: GcnTrunk::new(&config, 1),
+            cache: Workspace::default(),
             config,
         }
     }
@@ -368,23 +660,40 @@ impl GcnRegressor {
 
     /// Caching forward pass returning an `N × 1` score matrix.
     pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix, training: bool) -> Matrix {
-        self.trunk.forward(adj, x, training)
+        self.trunk.forward_cached(&mut self.cache, adj, x, training);
+        self.cache.output().clone()
     }
 
     /// Cache-free inference pass.
     pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.trunk.forward_inference(adj, x)
+        self.trunk.infer(adj, x)
     }
 
     /// Backward pass. Returns `∂L/∂X`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`GcnRegressor::forward`].
     pub fn backward(&mut self, adj: &CsrMatrix, grad_output: &Matrix, training: bool) -> Matrix {
-        self.trunk.backward(adj, grad_output, None, training)
+        assert!(
+            self.cache.input.is_some(),
+            "GcnRegressor::backward requires a prior forward call"
+        );
+        self.cache.output_and_grad().1.copy_from(grad_output);
+        self.trunk
+            .backward(&mut self.cache, adj, &adj.transpose(), training, true, None)
+            .expect("input gradient requested")
+    }
+
+    /// The shared trunk, for training loops that run it on their own
+    /// [`Workspace`].
+    pub(crate) fn trunk_mut(&mut self) -> &mut GcnTrunk {
+        &mut self.trunk
     }
 
     /// Per-node predicted criticality scores.
     pub fn predict_scores(&self, adj: &CsrMatrix, x: &Matrix) -> Vec<f64> {
-        let out = self.forward_inference(adj, x);
-        (0..out.rows()).map(|r| out.get(r, 0)).collect()
+        self.forward_inference(adj, x).as_slice().to_vec()
     }
 
     /// All trainable parameters in a stable order.
@@ -402,6 +711,8 @@ impl GcnRegressor {
 mod tests {
     use super::*;
 
+    /// Asymmetric (`Â[1,2] ≠ Â[2,1]`), so the gradient checks cover the
+    /// backward pass's use of `Âᵀ`.
     fn tiny_adj() -> CsrMatrix {
         CsrMatrix::from_triplets(
             3,
@@ -413,7 +724,7 @@ mod tests {
                 (0, 1, 0.5),
                 (1, 0, 0.5),
                 (1, 2, 0.4),
-                (2, 1, 0.4),
+                (2, 1, 0.25),
             ],
         )
     }

@@ -6,13 +6,18 @@
 //! versioned, human-inspectable text format (no external serialization
 //! dependency).
 
-use crate::model::{GcnClassifier, GcnConfig};
+use crate::model::{GcnClassifier, GcnConfig, NUM_CLASSES};
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Write};
 
 const MAGIC: &str = "fusa-gcn-classifier";
 const VERSION: u32 = 1;
+
+/// Most weights one layer of a loaded model may hold (128 MiB of `f64`).
+/// The loader builds every layer before it reads a weight, so a header
+/// is bounded here rather than by an allocation failure.
+const MAX_LAYER_WEIGHTS: usize = 1 << 24;
 
 /// Errors from [`load_classifier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,6 +146,29 @@ pub fn load_classifier<R: std::io::Read>(reader: R) -> Result<GcnClassifier, Per
         .collect::<Result<_, _>>()?;
     let dropout: f64 = parse_keyword(&next_line()?, "dropout")?;
     let seed: u64 = parse_keyword(&next_line()?, "seed")?;
+    // Checked here so that hostile headers get an error, not the
+    // constructors' assertions.
+    if hidden.is_empty() {
+        return Err(malformed("no hidden layer"));
+    }
+    if in_features == 0 || hidden.contains(&0) {
+        return Err(malformed("zero layer width"));
+    }
+    let widths: Vec<usize> = std::iter::once(in_features)
+        .chain(hidden.iter().copied())
+        .chain(std::iter::once(NUM_CLASSES))
+        .collect();
+    let too_wide = |pair: &[usize]| {
+        pair[0]
+            .checked_mul(pair[1])
+            .is_none_or(|weights| weights > MAX_LAYER_WEIGHTS)
+    };
+    if widths.windows(2).any(too_wide) {
+        return Err(malformed("layer too wide"));
+    }
+    if !(0.0..1.0).contains(&dropout) {
+        return Err(malformed("dropout outside [0, 1)"));
+    }
 
     let mut model = GcnClassifier::new(GcnConfig {
         in_features,
@@ -170,7 +198,11 @@ pub fn load_classifier<R: std::io::Read>(reader: R) -> Result<GcnClassifier, Per
             let row_line = next_line()?;
             let values: Vec<f64> = row_line
                 .split_whitespace()
-                .map(|t| t.parse().map_err(|_| malformed("bad weight")))
+                .map(|t| match t.parse::<f64>() {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    Ok(_) => Err(malformed("non-finite weight")),
+                    Err(_) => Err(malformed("bad weight")),
+                })
                 .collect::<Result<_, _>>()?;
             if values.len() != cols {
                 return Err(PersistError::ShapeMismatch);
@@ -261,6 +293,76 @@ mod tests {
             load_classifier(tampered.as_bytes()).unwrap_err(),
             PersistError::ShapeMismatch
         );
+    }
+
+    /// A saved model with `from` replaced by `to` (first occurrence).
+    fn tampered(from: &str, to: &str) -> Result<GcnClassifier, PersistError> {
+        let mut buffer = Vec::new();
+        save_classifier(&trained_ish_model(), &mut buffer).unwrap();
+        let text = String::from_utf8(buffer).unwrap();
+        assert!(text.contains(from), "fixture lacks `{from}`");
+        load_classifier(text.replacen(from, to, 1).as_bytes())
+    }
+
+    fn assert_malformed(result: Result<GcnClassifier, PersistError>, expected: &str) {
+        match result {
+            Err(PersistError::Malformed { detail }) => {
+                assert!(detail.contains(expected), "{detail}")
+            }
+            other => panic!("expected Malformed({expected}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_dropout_rejected() {
+        assert_malformed(tampered("dropout 0.2", "dropout 1.5"), "dropout");
+        assert_malformed(tampered("dropout 0.2", "dropout -0.1"), "dropout");
+        assert_malformed(tampered("dropout 0.2", "dropout NaN"), "dropout");
+    }
+
+    #[test]
+    fn empty_hidden_line_rejected() {
+        assert_malformed(tampered("hidden 4 8", "hidden "), "no hidden layer");
+    }
+
+    #[test]
+    fn zero_layer_width_rejected() {
+        assert_malformed(tampered("hidden 4 8", "hidden 4 0"), "zero layer width");
+        assert_malformed(
+            tampered("in_features 3", "in_features 0"),
+            "zero layer width",
+        );
+    }
+
+    #[test]
+    fn oversized_layer_rejected() {
+        assert_malformed(
+            tampered("hidden 4 8", "hidden 4 18446744073709551615"),
+            "layer too wide",
+        );
+        assert_malformed(
+            tampered("in_features 3", "in_features 100000000"),
+            "layer too wide",
+        );
+    }
+
+    #[test]
+    fn non_finite_weight_rejected() {
+        let mut buffer = Vec::new();
+        save_classifier(&trained_ish_model(), &mut buffer).unwrap();
+        let text = String::from_utf8(buffer).unwrap();
+        let first_weight_line = text
+            .lines()
+            .skip_while(|l| !l.starts_with("param"))
+            .nth(1)
+            .unwrap()
+            .to_string();
+        let first_value = first_weight_line.split_whitespace().next().unwrap();
+        for bad in ["NaN", "inf", "-inf"] {
+            let line = first_weight_line.replacen(first_value, bad, 1);
+            let hostile = text.replacen(&first_weight_line, &line, 1);
+            assert_malformed(load_classifier(hostile.as_bytes()), "non-finite weight");
+        }
     }
 
     #[test]

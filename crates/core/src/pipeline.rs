@@ -204,14 +204,16 @@ impl FusaAnalysis {
             in_features: self.features.cols(),
             ..self.classifier.config().clone()
         };
-        let (model, _history, predictions) = train_regressor(
-            &self.adjacency,
-            &self.features,
-            self.dataset.scores(),
-            &self.split,
-            model_config,
-            train,
-        );
+        let (model, _history, predictions) = fusa_obs::global().time("train", || {
+            train_regressor(
+                &self.adjacency,
+                &self.features,
+                self.dataset.scores(),
+                &self.split,
+                model_config,
+                train,
+            )
+        });
         (model, predictions)
     }
 

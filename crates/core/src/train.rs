@@ -1,7 +1,8 @@
 //! Training, evaluation and grid-search hyper-parameter optimization.
 
-use crate::model::{GcnClassifier, GcnConfig, GcnRegressor};
-use fusa_neuro::loss::{mse_loss, nll_loss};
+use crate::model::{critical_probability, GcnClassifier, GcnConfig, GcnRegressor};
+use fusa_neuro::layers::{log_softmax_backward_in_place, log_softmax_rows_in_place};
+use fusa_neuro::loss::{mse_loss_into, nll_loss_into};
 use fusa_neuro::metrics::{Confusion, RocCurve};
 use fusa_neuro::optim::Adam;
 use fusa_neuro::split::Split;
@@ -79,10 +80,17 @@ pub fn train_classifier(
     let obs = fusa_obs::global();
     let targets: Vec<usize> = labels.iter().map(|&l| usize::from(l)).collect();
     let mut model = GcnClassifier::new(model_config);
+    let trunk = model.trunk_mut();
+    // One set of buffers for every epoch, with the constant first-layer
+    // aggregation `Â·X` and the transpose the backward pass gathers over.
+    let mut ws = trunk.workspace(features.rows());
+    ws.aggregate_input(adj, features);
+    let adj_t = adj.transpose();
     let mut optimizer =
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
-    let mut best: Option<(f64, GcnClassifier)> = None;
+    let mut best: Option<f64> = None;
+    let mut best_params = Vec::new();
     let progress = fusa_obs::Progress::start(
         obs,
         "train",
@@ -93,24 +101,36 @@ pub fn train_classifier(
 
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
-        let log_probs = model.forward(adj, features, true);
-        let (loss, grad) = nll_loss(&log_probs, &targets, &split.train);
-        for p in model.params_mut() {
-            p.zero_grad();
-        }
-        model.backward(adj, &grad, true);
-        optimizer.step(&mut model.params_mut());
+        let loss = obs.time("forward", || {
+            trunk.forward(&mut ws, adj, true);
+            log_softmax_rows_in_place(ws.output_mut());
+            let (log_probs, grad) = ws.output_and_grad();
+            nll_loss_into(log_probs, &targets, &split.train, grad)
+        });
+        obs.time("backward", || {
+            for p in trunk.params_mut() {
+                p.zero_grad();
+            }
+            let (log_probs, grad) = ws.output_and_grad();
+            log_softmax_backward_in_place(log_probs, grad);
+            trunk.backward(&mut ws, adj, &adj_t, true, false, None);
+        });
+        obs.time("optimizer", || optimizer.step(&mut trunk.params_mut()));
 
-        let val_accuracy = validation_accuracy(&model, adj, features, labels, &split.validation);
+        let val_accuracy = obs.time("validation", || {
+            if split.validation.is_empty() {
+                return 0.0;
+            }
+            trunk.forward_inference(&mut ws, adj);
+            log_softmax_rows_in_place(ws.output_mut());
+            validation_accuracy(ws.output(), labels, &split.validation)
+        });
         history.train_loss.push(loss);
         history.validation_metric.push(val_accuracy);
-        if best
-            .as_ref()
-            .map(|(b, _)| val_accuracy > *b)
-            .unwrap_or(true)
-        {
+        if best.map(|b| val_accuracy > b).unwrap_or(true) {
             history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((val_accuracy, model.clone()));
+            best = Some(val_accuracy);
+            obs.time("snapshot", || trunk.save_params(&mut best_params));
         }
         obs.add("train.epochs", 1);
         obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
@@ -135,26 +155,20 @@ pub fn train_classifier(
         obs.gauge_set("train.final_loss", loss);
     }
 
-    let final_model = if train_config.keep_best {
-        best.map(|(_, m)| m).unwrap_or(model)
-    } else {
-        model
-    };
-    let evaluation = evaluate_classifier(&final_model, adj, features, labels, split);
-    (final_model, history, evaluation)
+    if train_config.keep_best && best.is_some() {
+        trunk.load_params(&best_params);
+    }
+    let evaluation = obs.time("validation", || {
+        trunk.forward_inference(&mut ws, adj);
+        log_softmax_rows_in_place(ws.output_mut());
+        evaluate_log_probs(ws.output(), labels, split)
+    });
+    (model, history, evaluation)
 }
 
-fn validation_accuracy(
-    model: &GcnClassifier,
-    adj: &CsrMatrix,
-    features: &Matrix,
-    labels: &[bool],
-    validation: &[usize],
-) -> f64 {
-    if validation.is_empty() {
-        return 0.0;
-    }
-    let predictions = model.predict(adj, features);
+/// Validation accuracy of the argmax predictions of `log_probs`.
+fn validation_accuracy(log_probs: &Matrix, labels: &[bool], validation: &[usize]) -> f64 {
+    let predictions = log_probs.argmax_rows();
     let correct = validation
         .iter()
         .filter(|&&i| (predictions[i] == 1) == labels[i])
@@ -170,7 +184,12 @@ pub fn evaluate_classifier(
     labels: &[bool],
     split: &Split,
 ) -> EvaluationReport {
-    let critical_probability = model.predict_critical_probability(adj, features);
+    evaluate_log_probs(&model.forward_inference(adj, features), labels, split)
+}
+
+/// [`evaluate_classifier`] from the model's whole-graph log-probabilities.
+fn evaluate_log_probs(log_probs: &Matrix, labels: &[bool], split: &Split) -> EvaluationReport {
+    let critical_probability = critical_probability(log_probs);
     let predicted_labels: Vec<bool> = critical_probability.iter().map(|&p| p >= 0.5).collect();
 
     let val_predicted: Vec<bool> = split
@@ -215,10 +234,15 @@ pub fn train_regressor(
     assert_eq!(scores.len(), features.rows(), "score count mismatch");
     let obs = fusa_obs::global();
     let mut model = GcnRegressor::new(model_config);
+    let trunk = model.trunk_mut();
+    let mut ws = trunk.workspace(features.rows());
+    ws.aggregate_input(adj, features);
+    let adj_t = adj.transpose();
     let mut optimizer =
         Adam::with_weight_decay(train_config.learning_rate, train_config.weight_decay);
     let mut history = TrainHistory::default();
-    let mut best: Option<(f64, GcnRegressor)> = None;
+    let mut best: Option<f64> = None;
+    let mut best_params = Vec::new();
     let progress = fusa_obs::Progress::start(
         obs,
         "train-regressor",
@@ -229,21 +253,32 @@ pub fn train_regressor(
 
     for epoch in 0..train_config.epochs {
         let epoch_started = std::time::Instant::now();
-        let predictions = model.forward(adj, features, true);
-        let (loss, grad) = mse_loss(&predictions, scores, &split.train);
-        for p in model.params_mut() {
-            p.zero_grad();
-        }
-        model.backward(adj, &grad, true);
-        optimizer.step(&mut model.params_mut());
+        let loss = obs.time("forward", || {
+            trunk.forward(&mut ws, adj, true);
+            let (predictions, grad) = ws.output_and_grad();
+            mse_loss_into(predictions, scores, &split.train, grad)
+        });
+        obs.time("backward", || {
+            for p in trunk.params_mut() {
+                p.zero_grad();
+            }
+            trunk.backward(&mut ws, adj, &adj_t, true, false, None);
+        });
+        obs.time("optimizer", || optimizer.step(&mut trunk.params_mut()));
 
-        let val_predictions = model.forward_inference(adj, features);
-        let (val_loss, _) = mse_loss(&val_predictions, scores, &split.validation);
+        // The output gradient is scratch here: the next epoch's loss
+        // overwrites it.
+        let val_loss = obs.time("validation", || {
+            trunk.forward_inference(&mut ws, adj);
+            let (predictions, scratch) = ws.output_and_grad();
+            mse_loss_into(predictions, scores, &split.validation, scratch)
+        });
         history.train_loss.push(loss);
         history.validation_metric.push(-val_loss);
-        if best.as_ref().map(|(b, _)| -val_loss > *b).unwrap_or(true) {
+        if best.map(|b| -val_loss > b).unwrap_or(true) {
             history.best_epoch = history.validation_metric.len() - 1;
-            best = Some((-val_loss, model.clone()));
+            best = Some(-val_loss);
+            obs.time("snapshot", || trunk.save_params(&mut best_params));
         }
         obs.add("train.regressor_epochs", 1);
         obs.observe("train.epoch_seconds", epoch_started.elapsed().as_secs_f64());
@@ -264,13 +299,14 @@ pub fn train_regressor(
         }
     }
 
-    let final_model = if train_config.keep_best {
-        best.map(|(_, m)| m).unwrap_or(model)
-    } else {
-        model
-    };
-    let predictions = final_model.predict_scores(adj, features);
-    (final_model, history, predictions)
+    if train_config.keep_best && best.is_some() {
+        trunk.load_params(&best_params);
+    }
+    let predictions = obs.time("validation", || {
+        trunk.forward_inference(&mut ws, adj);
+        ws.output().as_slice().to_vec()
+    });
+    (model, history, predictions)
 }
 
 /// Grid-search hyper-parameter optimization (§3.3.2): sweeps layer

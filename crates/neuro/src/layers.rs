@@ -7,7 +7,6 @@
 use crate::init::glorot_uniform;
 use crate::matrix::Matrix;
 use crate::param::Param;
-use crate::sparse::CsrMatrix;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -77,93 +76,6 @@ impl Dense {
     /// The layer's trainable parameters.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
-    }
-}
-
-/// Graph convolution (Kipf & Welling, Eq. 2 of the paper):
-/// `H' = Â · H · W + b` with `Â` the symmetrically normalized adjacency.
-#[derive(Debug, Clone)]
-pub struct GraphConv {
-    /// The dense transform applied after aggregation.
-    pub linear: Dense,
-    cached_aggregated: Option<Matrix>,
-    cached_input: Option<Matrix>,
-}
-
-impl GraphConv {
-    /// Creates a Glorot-initialized graph convolution.
-    pub fn new(in_features: usize, out_features: usize, seed: u64) -> GraphConv {
-        GraphConv {
-            linear: Dense::new(in_features, out_features, seed),
-            cached_aggregated: None,
-            cached_input: None,
-        }
-    }
-
-    /// Input feature width.
-    pub fn in_features(&self) -> usize {
-        self.linear.in_features()
-    }
-
-    /// Output feature width.
-    pub fn out_features(&self) -> usize {
-        self.linear.out_features()
-    }
-
-    /// Forward pass: aggregate neighbours through `adj`, then transform.
-    pub fn forward(&mut self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        let aggregated = adj.matmul(x);
-        let y = self.linear.forward(&aggregated);
-        self.cached_aggregated = Some(aggregated);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    /// Forward pass without caching (inference).
-    pub fn forward_inference(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
-        self.linear.forward_inference(&adj.matmul(x))
-    }
-
-    /// Backward pass. Returns `∂L/∂X`; also exposes the gradient w.r.t.
-    /// the *aggregated* features via [`GraphConv::backward_with_edge_grads`]
-    /// when edge gradients are needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, adj: &CsrMatrix, grad_output: &Matrix) -> Matrix {
-        let grad_aggregated = self.linear.backward(grad_output);
-        // ∂L/∂X = Âᵀ · ∂L/∂(ÂX); Â is symmetric for undirected graphs but
-        // transpose_matmul keeps this correct in general.
-        adj.transpose_matmul(&grad_aggregated)
-    }
-
-    /// Backward pass that additionally returns the per-edge gradients
-    /// `∂L/∂Â[r,c]` in CSR entry order — the signal the GNN explainer's
-    /// edge mask trains on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward_with_edge_grads(
-        &mut self,
-        adj: &CsrMatrix,
-        grad_output: &Matrix,
-    ) -> (Matrix, Vec<f64>) {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("GraphConv::backward requires a prior forward call")
-            .clone();
-        let grad_aggregated = self.linear.backward(grad_output);
-        let edge_grads = adj.edge_gradients(&grad_aggregated, &x);
-        let grad_x = adj.transpose_matmul(&grad_aggregated);
-        (grad_x, edge_grads)
-    }
-
-    /// The layer's trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.linear.params_mut()
     }
 }
 
@@ -237,26 +149,31 @@ impl Dropout {
 
     /// Training-mode forward pass (samples a fresh mask).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        let mut y = x.clone();
+        self.forward_in_place(&mut y);
+        y
+    }
+
+    /// Training-mode forward pass applied to `x` in place. The mask is
+    /// drawn element by element in row-major order and kept (in a
+    /// reused buffer) for the backward pass.
+    pub fn forward_in_place(&mut self, x: &mut Matrix) {
         if self.p == 0.0 {
             self.mask = None;
-            return x.clone();
+            return;
         }
         let keep = 1.0 - self.p;
-        let mask: Vec<f64> = (0..x.as_slice().len())
-            .map(|_| {
-                if self.rng.gen_bool(keep) {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut y = x.clone();
-        for (v, &m) in y.as_mut_slice().iter_mut().zip(&mask) {
-            *v *= m;
+        let scale = 1.0 / keep;
+        let rng = &mut self.rng;
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.resize(x.as_slice().len(), 0.0);
+        // One uniform draw per element, as `gen_bool(keep)` makes, with a
+        // select in place of a branch that mispredicts on every dropped
+        // element.
+        for (v, m) in x.as_mut_slice().iter_mut().zip(mask.iter_mut()) {
+            *m = if rng.gen::<f64>() < keep { scale } else { 0.0 };
+            *v *= *m;
         }
-        self.mask = Some(mask);
-        y
     }
 
     /// Inference-mode forward pass (identity).
@@ -266,14 +183,16 @@ impl Dropout {
 
     /// Backward pass (applies the same mask).
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        match &self.mask {
-            None => grad_output.clone(),
-            Some(mask) => {
-                let mut grad = grad_output.clone();
-                for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
-                    *g *= m;
-                }
-                grad
+        let mut grad = grad_output.clone();
+        self.backward_in_place(&mut grad);
+        grad
+    }
+
+    /// Backward pass applied to `grad` in place.
+    pub fn backward_in_place(&self, grad: &mut Matrix) {
+        if let Some(mask) = &self.mask {
+            for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
+                *g *= m;
             }
         }
     }
@@ -314,13 +233,7 @@ impl LogSoftmax {
             .as_ref()
             .expect("LogSoftmax::backward requires a prior forward call");
         let mut grad = grad_output.clone();
-        for r in 0..grad.rows() {
-            let gsum: f64 = grad_output.row(r).iter().sum();
-            let yrow = y.row(r).to_vec();
-            for (g, ylog) in grad.row_mut(r).iter_mut().zip(yrow) {
-                *g -= ylog.exp() * gsum;
-            }
-        }
+        log_softmax_backward_in_place(y, &mut grad);
         grad
     }
 }
@@ -328,15 +241,38 @@ impl LogSoftmax {
 /// Stand-alone numerically stable row-wise log-softmax.
 pub fn log_softmax_rows(x: &Matrix) -> Matrix {
     let mut y = x.clone();
-    for r in 0..y.rows() {
-        let row = y.row_mut(r);
+    log_softmax_rows_in_place(&mut y);
+    y
+}
+
+/// Row-wise log-softmax applied to `x` in place.
+pub fn log_softmax_rows_in_place(x: &mut Matrix) {
+    for r in 0..x.rows() {
+        let row = x.row_mut(r);
         let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let logsum = row.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
         for v in row {
             *v -= logsum;
         }
     }
-    y
+}
+
+/// Log-softmax backward in place: turns `grad` (`∂L/∂y` for the
+/// log-probabilities `log_probs`) into `∂L/∂x = g - softmax(x)·Σ_j g_j`
+/// per row.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn log_softmax_backward_in_place(log_probs: &Matrix, grad: &mut Matrix) {
+    assert_eq!(log_probs.shape(), grad.shape(), "log-softmax grad shape");
+    for r in 0..grad.rows() {
+        let row = grad.row_mut(r);
+        let gsum: f64 = row.iter().sum();
+        for (g, &ylog) in row.iter_mut().zip(log_probs.row(r)) {
+            *g -= ylog.exp() * gsum;
+        }
+    }
 }
 
 /// Stand-alone row-wise softmax.
@@ -417,76 +353,6 @@ mod tests {
             }
         }
         assert_close(&analytic, &numeric, 1e-5, "dense weight grad");
-    }
-
-    #[test]
-    fn graphconv_aggregates_neighbours() {
-        let adj = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
-        let mut layer = GraphConv::new(1, 1, 3);
-        layer.linear.weight.value.set(0, 0, 1.0);
-        let x = Matrix::from_rows(&[&[5.0], &[7.0]]);
-        let y = layer.forward(&adj, &x);
-        assert!((y.get(0, 0) - 7.0).abs() < 1e-12);
-        assert!((y.get(1, 0) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn graphconv_input_gradient_matches_numeric() {
-        let adj = CsrMatrix::from_triplets(
-            3,
-            3,
-            &[
-                (0, 0, 0.5),
-                (0, 1, 0.5),
-                (1, 0, 0.3),
-                (2, 2, 1.0),
-                (1, 2, 0.7),
-            ],
-        );
-        let mut layer = GraphConv::new(2, 2, 21);
-        let x = Matrix::from_rows(&[&[1.0, 0.5], &[-0.2, 0.8], &[0.3, -0.4]]);
-        let _ = layer.forward(&adj, &x);
-        let grad_in = layer.backward(&adj, &Matrix::filled(3, 2, 1.0));
-        let frozen = layer.clone();
-        let numeric = numeric_grad(
-            |xx| frozen.forward_inference(&adj, xx).as_slice().iter().sum(),
-            &x,
-        );
-        assert_close(&grad_in, &numeric, 1e-5, "graphconv input grad");
-    }
-
-    #[test]
-    fn graphconv_edge_gradients_match_numeric() {
-        let adj = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 0.5), (1, 1, 0.9)]);
-        let mut layer = GraphConv::new(2, 1, 9);
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]);
-        let _ = layer.forward(&adj, &x);
-        let (_, edge_grads) = layer.backward_with_edge_grads(&adj, &Matrix::filled(2, 1, 1.0));
-
-        let frozen = layer.clone();
-        let eps = 1e-6;
-        for (k, _) in adj.triplets().iter().enumerate() {
-            let mut vp = adj.values().to_vec();
-            vp[k] += eps;
-            let mut vm = adj.values().to_vec();
-            vm[k] -= eps;
-            let fp: f64 = frozen
-                .forward_inference(&adj.with_values(vp), &x)
-                .as_slice()
-                .iter()
-                .sum();
-            let fm: f64 = frozen
-                .forward_inference(&adj.with_values(vm), &x)
-                .as_slice()
-                .iter()
-                .sum();
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!(
-                (numeric - edge_grads[k]).abs() < 1e-5,
-                "edge {k}: {numeric} vs {}",
-                edge_grads[k]
-            );
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`CsrMatrix`] — compressed-sparse-row matrices for normalized graph
 //!   adjacency, with sparse×dense products and per-edge gradients (needed
 //!   by the GNN explainer);
-//! * [`layers`] — `Dense`, `GraphConv`, `ReLU`, `Dropout`, `LogSoftmax`
+//! * [`layers`] — `Dense`, `ReLU`, `Dropout`, `LogSoftmax`
 //!   with explicit forward/backward passes;
 //! * [`loss`] — negative log-likelihood, mean-squared-error and binary
 //!   cross-entropy with masking (semi-supervised node splits);

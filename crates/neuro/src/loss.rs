@@ -17,10 +17,28 @@ use crate::matrix::Matrix;
 /// Panics if a target class is out of range or `mask` contains an
 /// out-of-range node index.
 pub fn nll_loss(log_probs: &Matrix, targets: &[usize], mask: &[usize]) -> (f64, Matrix) {
-    assert_eq!(log_probs.rows(), targets.len(), "target count mismatch");
     let mut grad = Matrix::zeros(log_probs.rows(), log_probs.cols());
+    let loss = nll_loss_into(log_probs, targets, mask, &mut grad);
+    (loss, grad)
+}
+
+/// [`nll_loss`] writing the gradient into `grad` (overwritten) and
+/// returning the loss.
+///
+/// # Panics
+///
+/// As [`nll_loss`], and if `grad` is not shaped like `log_probs`.
+pub fn nll_loss_into(
+    log_probs: &Matrix,
+    targets: &[usize],
+    mask: &[usize],
+    grad: &mut Matrix,
+) -> f64 {
+    assert_eq!(log_probs.rows(), targets.len(), "target count mismatch");
+    assert_eq!(grad.shape(), log_probs.shape(), "gradient shape mismatch");
+    grad.as_mut_slice().fill(0.0);
     if mask.is_empty() {
-        return (0.0, grad);
+        return 0.0;
     }
     let scale = 1.0 / mask.len() as f64;
     let mut loss = 0.0;
@@ -30,7 +48,7 @@ pub fn nll_loss(log_probs: &Matrix, targets: &[usize], mask: &[usize]) -> (f64, 
         loss -= log_probs.get(node, target);
         grad.set(node, target, -scale);
     }
-    (loss * scale, grad)
+    loss * scale
 }
 
 /// Mean squared error between the first column of `pred` and `targets`,
@@ -42,11 +60,24 @@ pub fn nll_loss(log_probs: &Matrix, targets: &[usize], mask: &[usize]) -> (f64, 
 ///
 /// Panics if `pred` has zero columns or lengths mismatch.
 pub fn mse_loss(pred: &Matrix, targets: &[f64], mask: &[usize]) -> (f64, Matrix) {
+    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    let loss = mse_loss_into(pred, targets, mask, &mut grad);
+    (loss, grad)
+}
+
+/// [`mse_loss`] writing the gradient into `grad` (overwritten) and
+/// returning the loss.
+///
+/// # Panics
+///
+/// As [`mse_loss`], and if `grad` is not shaped like `pred`.
+pub fn mse_loss_into(pred: &Matrix, targets: &[f64], mask: &[usize], grad: &mut Matrix) -> f64 {
     assert!(pred.cols() >= 1, "prediction needs at least one column");
     assert_eq!(pred.rows(), targets.len(), "target count mismatch");
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    assert_eq!(grad.shape(), pred.shape(), "gradient shape mismatch");
+    grad.as_mut_slice().fill(0.0);
     if mask.is_empty() {
-        return (0.0, grad);
+        return 0.0;
     }
     let scale = 1.0 / mask.len() as f64;
     let mut loss = 0.0;
@@ -55,7 +86,7 @@ pub fn mse_loss(pred: &Matrix, targets: &[f64], mask: &[usize]) -> (f64, Matrix)
         loss += diff * diff;
         grad.set(node, 0, 2.0 * diff * scale);
     }
-    (loss * scale, grad)
+    loss * scale
 }
 
 /// Binary cross-entropy over probabilities in `(0, 1)`, restricted to

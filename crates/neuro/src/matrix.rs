@@ -152,26 +152,37 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// Matrix product `self × other` written into `out`. Each row starts
+    /// at `+0.0` and accumulates `self[i,k]·other[k,:]` for ascending
+    /// `k`. Zeros of `self` are not skipped: a sum that starts at `+0.0`
+    /// is never `-0.0` in round-to-nearest, so adding a `±0` product
+    /// leaves it unchanged bit for bit (only an infinite or NaN `other`
+    /// value makes `0·x` differ, and then the result is NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()` or `out` is not
+    /// `self.rows() × other.cols()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
+        dense_rows(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            0.0,
+            &mut out.data,
+        );
     }
 
     /// `selfᵀ × other` without materializing the transpose.
@@ -180,22 +191,39 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let arow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let brow = &other.data[r * other.cols..(r + 1) * other.cols];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
+        self.transpose_matmul_into(other, &mut out);
+        out
+    }
+
+    /// `selfᵀ × other` written into `out`. Output row `i` (column `i` of
+    /// `self`) starts at `+0.0` and accumulates `self[r,i]·other[r,:]`
+    /// for ascending `r`, without skipping zeros (see
+    /// [`Matrix::matmul_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != other.rows()` or `out` is not
+    /// `self.cols() × other.cols()`.
+    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
+        assert_eq!(
+            out.shape(),
+            (self.cols, other.cols),
+            "transpose_matmul output shape"
+        );
+        out.data.fill(0.0);
+        if self.cols == 0 || other.cols == 0 {
+            return;
+        }
+        let rows = self.data.chunks_exact(self.cols);
+        for (arow, brow) in rows.zip(other.data.chunks_exact(other.cols)) {
+            for (&a, orow) in arow.iter().zip(out.data.chunks_exact_mut(other.cols)) {
                 for (o, &b) in orow.iter_mut().zip(brow) {
                     *o += a * b;
                 }
             }
         }
-        out
     }
 
     /// `self × otherᵀ` without materializing the transpose.
@@ -204,17 +232,37 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let dot: f64 = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
-                out.data[i * other.rows + j] = dot;
-            }
-        }
+        self.matmul_transpose_into(other, &mut out);
         out
+    }
+
+    /// `self × otherᵀ` written into `out`, as axpys over a transposed
+    /// copy of `other` (the weight-sized operand in a backward pass).
+    /// Each element starts at `-0.0` and adds `self[i,k]·other[j,k]` for
+    /// ascending `k`: the same fold as a `.sum()` dot product, so
+    /// all-zero products keep their sign.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()` or `out` is not
+    /// `self.rows() × other.rows()`.
+    pub fn matmul_transpose_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
+        assert_eq!(
+            out.shape(),
+            (self.rows, other.rows),
+            "matmul_transpose output shape"
+        );
+        let other_t = other.transpose();
+        dense_rows(
+            &self.data,
+            self.cols,
+            &other_t.data,
+            other.rows,
+            -0.0,
+            &mut out.data,
+        );
     }
 
     /// The transposed matrix.
@@ -267,14 +315,36 @@ impl Matrix {
     ///
     /// Panics if `row.len() != self.cols()`.
     pub fn add_row_broadcast(&self, row: &[f64]) -> Matrix {
-        assert_eq!(row.len(), self.cols, "broadcast width mismatch");
         let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(row) {
+        out.add_row_in_place(row);
+        out
+    }
+
+    /// Adds `row` to every row of the matrix in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.cols()`.
+    pub fn add_row_in_place(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "broadcast width mismatch");
+        if self.cols == 0 {
+            return;
+        }
+        for out in self.data.chunks_exact_mut(self.cols) {
+            for (o, &b) in out.iter_mut().zip(row) {
                 *o += b;
             }
         }
-        out
+    }
+
+    /// Overwrites this matrix with `other`'s values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        assert_eq!(self.shape(), other.shape(), "copy shape mismatch");
+        self.data.copy_from_slice(&other.data);
     }
 
     /// Column sums, returned as a length-`cols` vector.
@@ -311,6 +381,61 @@ impl Matrix {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
+}
+
+/// Output columns per register tile of [`dense_rows`].
+const TILE: usize = 8;
+
+/// `out = start + a × b` for row-major `a` (`inner` wide) and `b`
+/// (`width` wide): the body of [`Matrix::matmul_into`] and
+/// [`Matrix::matmul_transpose_into`]. Every output element starts at
+/// `start` and adds `a[i,k]·b[k,j]` for ascending `k`. Columns are
+/// taken [`TILE`] at a time (or 1–2 for the model heads) so the running
+/// sums stay in registers instead of a load and store per multiply-add.
+fn dense_rows(a: &[f64], inner: usize, b: &[f64], width: usize, start: f64, out: &mut [f64]) {
+    if width == 0 {
+        return;
+    }
+    for (i, orow) in out.chunks_exact_mut(width).enumerate() {
+        let x = &a[i * inner..(i + 1) * inner];
+        for (t, chunk) in orow.chunks_mut(TILE).enumerate() {
+            let col = t * TILE;
+            match chunk.len() {
+                TILE => chunk.copy_from_slice(&dot_tile::<TILE>(x, b, width, col, start)),
+                1 => chunk.copy_from_slice(&dot_tile::<1>(x, b, width, col, start)),
+                2 => chunk.copy_from_slice(&dot_tile::<2>(x, b, width, col, start)),
+                len => {
+                    chunk.fill(start);
+                    for (k, &y) in x.iter().enumerate() {
+                        let row = k * width + col;
+                        for (s, &z) in chunk.iter_mut().zip(&b[row..row + len]) {
+                            *s += y * z;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `start + Σ_k x[k]·b[k, col..col + T]` for ascending `k`.
+#[inline(always)]
+fn dot_tile<const T: usize>(
+    x: &[f64],
+    b: &[f64],
+    width: usize,
+    col: usize,
+    start: f64,
+) -> [f64; T] {
+    let mut acc = [start; T];
+    for (k, &a) in x.iter().enumerate() {
+        let row = k * width + col;
+        let brow: &[f64; T] = b[row..row + T].try_into().expect("tile within the row");
+        for (s, &y) in acc.iter_mut().zip(brow) {
+            *s += a * y;
+        }
+    }
+    acc
 }
 
 impl Add for &Matrix {

@@ -2,12 +2,15 @@
 
 use crate::matrix::Matrix;
 
+/// Output columns per register tile of [`CsrMatrix::matmul_into`].
+const TILE: usize = 8;
+
 /// A square-or-rectangular sparse matrix in CSR layout.
 ///
 /// Used for the normalized adjacency `Â = D^{-1/2}(A+I)D^{-1/2}` of
 /// Equation 2: multiplication against dense feature matrices is the core
-/// of every GraphConv layer, and per-edge gradients feed the explainer's
-/// edge mask.
+/// of every graph convolution, and per-edge gradients feed the
+/// explainer's edge mask.
 ///
 /// # Example
 ///
@@ -136,6 +139,21 @@ impl CsrMatrix {
     ///
     /// Panics if `self.cols() != dense.rows()`.
     pub fn matmul(&self, dense: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        self.matmul_into(dense, &mut out);
+        out
+    }
+
+    /// Sparse × dense product written into `out`. Row `r` starts at
+    /// `+0.0` and accumulates `value·dense[col,:]` over its
+    /// stored entries in CSR order, 8 columns at a time so the
+    /// running sums stay in registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != dense.rows()` or `out` is not
+    /// `self.rows() × dense.cols()`.
+    pub fn matmul_into(&self, dense: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             dense.rows(),
@@ -145,45 +163,82 @@ impl CsrMatrix {
             dense.rows(),
             dense.cols()
         );
-        let mut out = Matrix::zeros(self.rows, dense.cols());
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for k in lo..hi {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let src = dense.row(c);
-                let dst = out.row_mut(r);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
+        assert_eq!(out.shape(), (self.rows, dense.cols()), "spmm output shape");
+        let width = dense.cols();
+        if width == 0 {
+            return;
+        }
+        let src = dense.as_slice();
+        for (r, dst) in out.as_mut_slice().chunks_exact_mut(width).enumerate() {
+            let entries = self.row_ptr[r]..self.row_ptr[r + 1];
+            let cols = &self.col_idx[entries.clone()];
+            let values = &self.values[entries];
+            let mut tiles = dst.chunks_exact_mut(TILE);
+            for (t, tile) in tiles.by_ref().enumerate() {
+                let mut acc = [0.0; TILE];
+                for (&c, &v) in cols.iter().zip(values) {
+                    let at = c * width + t * TILE;
+                    let row: &[f64; TILE] =
+                        src[at..at + TILE].try_into().expect("tile within the row");
+                    for (a, &x) in acc.iter_mut().zip(row) {
+                        *a += v * x;
+                    }
+                }
+                tile.copy_from_slice(&acc);
+            }
+            let rest = tiles.into_remainder();
+            let len = rest.len();
+            rest.fill(0.0);
+            for (&c, &v) in cols.iter().zip(values) {
+                let at = (c + 1) * width - len;
+                for (d, &x) in rest.iter_mut().zip(&src[at..at + len]) {
+                    *d += v * x;
                 }
             }
         }
-        out
     }
 
-    /// `selfᵀ × dense` without materializing the transpose.
+    /// The transposed matrix. Each transposed row lists its entries in
+    /// ascending source row, so a product with the transpose adds terms
+    /// in the same order as scattering `selfᵀ × dense` row by row.
+    pub fn transpose(&self) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for i in 1..=self.cols {
+            row_ptr[i] += row_ptr[i - 1];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let slot = &mut next[self.col_idx[k]];
+                col_idx[*slot] = r;
+                values[*slot] = self.values[k];
+                *slot += 1;
+            }
+        }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// `selfᵀ × dense`, as a gather over [`CsrMatrix::transpose`].
+    /// Callers that multiply by the same transpose repeatedly should keep
+    /// it and call [`CsrMatrix::matmul_into`] on it directly.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != dense.rows()`.
     pub fn transpose_matmul(&self, dense: &Matrix) -> Matrix {
         assert_eq!(self.rows, dense.rows(), "spmm^T shape mismatch");
-        let mut out = Matrix::zeros(self.cols, dense.cols());
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            let src = dense.row(r);
-            for k in lo..hi {
-                let c = self.col_idx[k];
-                let v = self.values[k];
-                let dst = out.row_mut(c);
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += v * s;
-                }
-            }
-        }
-        out
+        self.transpose().matmul(dense)
     }
 
     /// Per-edge gradient: for each stored entry `(r, c)`, the derivative
