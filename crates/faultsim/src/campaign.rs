@@ -30,7 +30,7 @@ use crate::report::{CampaignReport, CampaignStats, FaultOutcome, WorkloadReport}
 use crate::shard::ShardSpec;
 use fusa_logicsim::{BitSim, SoaNetlist, WideCone, WideSim, Workload, WorkloadSuite};
 use fusa_netlist::{GateId, NetId, Netlist};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -173,6 +173,7 @@ impl GoldenTrace {
 }
 
 /// Result of one `(workload × chunk)` unit.
+#[derive(Debug, PartialEq)]
 pub(crate) struct UnitOutput {
     pub(crate) outcomes: Vec<FaultOutcome>,
     pub(crate) first_divergence: Vec<Option<u32>>,
@@ -414,14 +415,16 @@ impl FaultCampaign {
             .checkpoint
             .as_ref()
             .map(|_| CheckpointHeader::capture(netlist, faults, workloads, &config));
-        let mut completed: HashMap<usize, UnitOutput> = HashMap::new();
+        let mut completed: BTreeMap<usize, UnitOutput> = BTreeMap::new();
         if durability.resume {
             let path = durability
                 .checkpoint
                 .as_ref()
                 .ok_or(CampaignError::ResumeWithoutCheckpoint)?;
             let expected = header.as_ref().expect("header captured with checkpoint");
-            completed = checkpoint::load_units(path, expected, unit_count)?;
+            let scan = checkpoint::scan(path)?;
+            scan.header.check_compatible(expected)?;
+            completed = scan.units;
         }
         let mut checkpoint_lost = false;
         let mut writer = match (&durability.checkpoint, &header) {

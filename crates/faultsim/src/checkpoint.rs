@@ -8,8 +8,14 @@
 //! and an FNV-1a64 record digest. `--resume` re-validates the header —
 //! any mismatch is a hard error, because mixing results across designs
 //! or configs would silently corrupt the ground truth — and skips unit
-//! lines that are torn or fail their digest, so those units simply run
-//! again.
+//! lines that are torn, fail their digest or do not fit their chunk, so
+//! those units simply run again.
+//!
+//! [`scan`] is the one reader of checkpoint records: resume, `fusa merge`
+//! and `fusa fsck` all consume its [`CheckpointScan`], so the header,
+//! shape and duplicate rules that decide which record of a unit counts
+//! live in one place. [`CheckpointHeader::read`] applies the same header
+//! rule and stops there.
 //!
 //! # The header-binding model
 //!
@@ -59,7 +65,7 @@
 //! assert!(sharded.check_compatible(&header).is_err());
 //! ```
 
-use crate::campaign::{CampaignConfig, UnitOutput};
+use crate::campaign::{CampaignConfig, UnitOutput, LANES};
 use crate::durability::IoRetryPolicy;
 use crate::fault::{FaultList, FaultSite};
 use crate::report::FaultOutcome;
@@ -67,22 +73,18 @@ use crate::shard::ShardSpec;
 use fusa_logicsim::WorkloadSuite;
 use fusa_netlist::Netlist;
 use fusa_obs::{Fnv64, Json};
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Split, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Schema tag of the checkpoint header line.
-///
-/// v2 added the optional `shard_index`/`shard_total` header fields;
-/// v1 checkpoints (no shard fields) still parse as unsharded.
+/// Schema tag of the checkpoint header line, the only one accepted on
+/// read. v2 added the optional `shard_index`/`shard_total` fields.
 pub const CHECKPOINT_SCHEMA: &str = "fusa-faultsim/checkpoint/v2";
-
-/// Legacy schema tag, still accepted on read.
-pub const CHECKPOINT_SCHEMA_V1: &str = "fusa-faultsim/checkpoint/v1";
 
 /// Errors raised while creating, loading or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,7 +244,7 @@ impl CheckpointHeader {
             fields.push(("shard_index".into(), Json::Num(shard.index as f64)));
             fields.push(("shard_total".into(), Json::Num(shard.total as f64)));
         }
-        fields.push(("lanes".into(), Json::Num(crate::campaign::LANES as f64)));
+        fields.push(("lanes".into(), Json::Num(LANES as f64)));
         Json::Obj(fields).render()
     }
 
@@ -252,7 +254,7 @@ impl CheckpointHeader {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("header has no schema field")?;
-        if schema != CHECKPOINT_SCHEMA && schema != CHECKPOINT_SCHEMA_V1 {
+        if schema != CHECKPOINT_SCHEMA {
             return Err(format!(
                 "unsupported checkpoint schema {schema:?} (expected {CHECKPOINT_SCHEMA:?})"
             ));
@@ -296,6 +298,28 @@ impl CheckpointHeader {
                 .ok_or("header field min_divergence_fraction missing")?,
             shard,
         })
+    }
+
+    /// Reads only the header of checkpoint `path`, by the same header
+    /// rule as [`scan`]. For callers that need the campaign identity but
+    /// not the records: `fusa top` derives a run's shard family from it
+    /// on every refresh, where decoding every record would cost time
+    /// proportional to the checkpoint.
+    pub fn read(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
+        open(path).map(|(header, _)| header)
+    }
+
+    /// Units of the full campaign: `workload_count × ⌈fault_count / 64⌉`.
+    pub fn unit_count(&self) -> usize {
+        self.workload_count
+            .saturating_mul(self.fault_count.div_ceil(LANES))
+    }
+
+    /// Faults in the chunk of `unit` (which must be below
+    /// [`unit_count`](Self::unit_count)): 64, or fewer for the last chunk.
+    pub(crate) fn chunk_len(&self, unit: usize) -> usize {
+        let chunks = self.fault_count.div_ceil(LANES);
+        LANES.min(self.fault_count - (unit % chunks) * LANES)
     }
 
     /// Validates that resuming from a checkpoint written under `self`
@@ -463,33 +487,62 @@ pub(crate) fn encode_unit(unit: usize, output: &UnitOutput) -> String {
     .render()
 }
 
-/// Parses one unit line; `None` for torn, malformed or digest-failing
-/// records (the unit is simply simulated again).
-pub(crate) fn decode_unit(line: &str) -> Option<(usize, UnitOutput)> {
-    let json = Json::parse(line).ok()?;
-    let unit = json.get("unit")?.as_u64()? as usize;
-    let outcome_text = json.get("outcomes")?.as_str()?;
-    let mut outcomes = Vec::with_capacity(outcome_text.len());
-    for c in outcome_text.chars() {
-        outcomes.push(match c {
-            'D' => FaultOutcome::Dangerous,
-            'L' => FaultOutcome::Latent,
-            'B' => FaultOutcome::Benign,
-            _ => return None,
-        });
-    }
-    let mut first_divergence = Vec::new();
-    let mut fd_parts = Vec::new();
-    for item in json.get("first_divergence")?.as_arr()? {
-        let v = item.as_f64()?;
+/// Parses one unit line. The error is the diagnosis: it names the first
+/// check the line fails, ordered from syntax outward — torn JSON, missing
+/// or malformed fields, invalid outcome characters, the
+/// `first_divergence` length, and finally the record digest.
+pub(crate) fn decode_unit(line: &str) -> Result<(usize, UnitOutput), String> {
+    let json = Json::parse(line).map_err(|_| "not valid JSON (torn or partial write)")?;
+    let unit = json
+        .get("unit")
+        .and_then(Json::as_u64)
+        .ok_or("missing or non-numeric `unit` field")? as usize;
+    let outcome_text = json
+        .get("outcomes")
+        .and_then(Json::as_str)
+        .ok_or("missing `outcomes` field")?;
+    let outcomes = outcome_text
+        .chars()
+        .map(|c| match c {
+            'D' => Ok(FaultOutcome::Dangerous),
+            'L' => Ok(FaultOutcome::Latent),
+            'B' => Ok(FaultOutcome::Benign),
+            bad => Err(format!(
+                "invalid outcome character {bad:?} (expected D/L/B)"
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let items = json
+        .get("first_divergence")
+        .and_then(Json::as_arr)
+        .ok_or("missing or malformed `first_divergence` array")?;
+    let mut first_divergence = Vec::with_capacity(items.len());
+    let mut fd_parts = Vec::with_capacity(items.len());
+    for item in items {
+        let v = item
+            .as_f64()
+            .ok_or("non-numeric entry in `first_divergence`")?;
         fd_parts.push(format!("{}", v as i64));
         first_divergence.push(if v < 0.0 { None } else { Some(v as u32) });
     }
     if first_divergence.len() != outcomes.len() {
-        return None;
+        return Err(format!(
+            "first_divergence length {} does not match {} outcomes",
+            first_divergence.len(),
+            outcomes.len()
+        ));
     }
-    let stepped_fault_cycles = json.get("stepped_fault_cycles")?.as_u64()?;
-    let gate_evals = json.get("gate_evals")?.as_u64()?;
+    let number = |field: &str| {
+        json.get(field)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing or non-numeric `{field}` field"))
+    };
+    let stepped_fault_cycles = number("stepped_fault_cycles")?;
+    let gate_evals = number("gate_evals")?;
+    let crc = json
+        .get("crc")
+        .and_then(Json::as_str)
+        .ok_or("missing `crc` field")?;
     let expected_crc = unit_crc(
         unit,
         outcome_text,
@@ -497,10 +550,10 @@ pub(crate) fn decode_unit(line: &str) -> Option<(usize, UnitOutput)> {
         stepped_fault_cycles,
         gate_evals,
     );
-    if json.get("crc")?.as_str()? != expected_crc {
-        return None;
+    if crc != expected_crc {
+        return Err("crc mismatch: record digest does not match its payload".into());
     }
-    Some((
+    Ok((
         unit,
         UnitOutput {
             outcomes,
@@ -511,98 +564,147 @@ pub(crate) fn decode_unit(line: &str) -> Option<(usize, UnitOutput)> {
     ))
 }
 
-/// Reads and parses the header line of `path` without touching the
-/// unit records.
-///
-/// This is the cheap "peek" used by `fusa merge` to learn the design
-/// name and campaign parameters bound by a shard checkpoint before
-/// reconstructing the campaign inputs.
-pub fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let header_line = match BufReader::new(file).lines().next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
-        }
-    };
-    CheckpointHeader::parse(&header_line).map_err(|message| CheckpointError::Corrupt {
-        path: path.display().to_string(),
-        message,
-    })
+/// Cause reported when a checkpoint has no header line at all.
+pub(crate) const EMPTY_CHECKPOINT: &str = "file is empty (no header line)";
+
+/// How [`scan`] sorted one checkpoint line after the header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LineKind {
+    /// The first intact record of `unit`: the one resume, merge and
+    /// repair use.
+    Intact {
+        /// Flat unit index.
+        unit: usize,
+    },
+    /// A later intact record identical to the unit's first — a benign
+    /// duplicate, e.g. a unit rewritten after a retried append.
+    Duplicate {
+        /// Flat unit index.
+        unit: usize,
+    },
+    /// A later intact record that differs from the unit's first.
+    Conflict {
+        /// Flat unit index.
+        unit: usize,
+    },
+    /// An empty line, as a retried append leaves behind a torn fragment.
+    Blank,
+    /// A line that is no usable record of this campaign.
+    Damaged {
+        /// Unit the line claimed, when its record decoded.
+        unit: Option<usize>,
+        /// The first check the line failed.
+        cause: String,
+    },
 }
 
-/// Counts the distinct completed units recorded in checkpoint `path`,
-/// applying the same tolerance as `--resume`: torn, malformed or
-/// digest-failing unit lines are skipped, duplicates (a unit re-written
-/// after a retry) count once. This is the ground truth `fusa top`'s
-/// unit counts are validated against in CI.
-pub fn read_unit_count(path: &Path) -> Result<usize, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let mut lines = BufReader::new(file).lines();
-    match lines.next() {
-        Some(Ok(line)) => {
-            CheckpointHeader::parse(&line).map_err(|message| CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message,
-            })?;
+/// A checkpoint read once and sorted line by line — the only reader of
+/// checkpoint records. `--resume`, `fusa merge` and `fusa fsck` all
+/// consume it, so they agree on what a valid record is:
+///
+/// - **header rule**: line 1 must parse as a [`CheckpointHeader`]; an
+///   empty file or a bad header is [`CheckpointError::Corrupt`];
+/// - **shape rule**: a record's `unit` lies below
+///   [`CheckpointHeader::unit_count`], and its outcome and
+///   `first_divergence` counts both equal that unit's chunk length,
+///   `min(64, fault_count − (unit mod chunks)·64)`;
+/// - **duplicate rule**: the first intact record of a unit wins; a
+///   later identical copy is a [`LineKind::Duplicate`], a later
+///   differing one a [`LineKind::Conflict`].
+#[derive(Debug)]
+pub struct CheckpointScan {
+    /// The parsed header (not yet checked against any campaign).
+    pub header: CheckpointHeader,
+    /// Every line after the header, in file order: `lines[i]` is line
+    /// `i + 2` of the file.
+    pub lines: Vec<LineKind>,
+    /// The first intact record of each unit.
+    pub(crate) units: BTreeMap<usize, UnitOutput>,
+}
+
+impl CheckpointScan {
+    /// Applies the shape and duplicate rules to one line after the header.
+    fn classify(&mut self, line: &[u8]) -> LineKind {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let Ok(text) = std::str::from_utf8(line) else {
+            return LineKind::Damaged {
+                unit: None,
+                cause: "not valid UTF-8 (torn or partial write)".into(),
+            };
+        };
+        if text.trim().is_empty() {
+            return LineKind::Blank;
         }
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
+        let (unit, output) = match decode_unit(text) {
+            Ok(record) => record,
+            Err(cause) => return LineKind::Damaged { unit: None, cause },
+        };
+        let units = self.header.unit_count();
+        if unit >= units {
+            return LineKind::Damaged {
+                unit: Some(unit),
+                cause: format!("unit {unit} out of range (campaign has {units} units)"),
+            };
+        }
+        // `decode_unit` already ties the `first_divergence` count to the
+        // outcome count.
+        let chunk_len = self.header.chunk_len(unit);
+        if output.outcomes.len() != chunk_len {
+            return LineKind::Damaged {
+                unit: Some(unit),
+                cause: format!(
+                    "unit {unit} has {} outcomes, but its chunk holds {chunk_len} faults",
+                    output.outcomes.len()
+                ),
+            };
+        }
+        match self.units.entry(unit) {
+            Entry::Vacant(slot) => {
+                slot.insert(output);
+                LineKind::Intact { unit }
+            }
+            Entry::Occupied(first) if *first.get() == output => LineKind::Duplicate { unit },
+            Entry::Occupied(_) => LineKind::Conflict { unit },
         }
     }
-    let mut units = std::collections::BTreeSet::new();
+}
+
+/// Reads checkpoint `path` once: parses the header and sorts every later
+/// line by the rules documented on [`CheckpointScan`].
+pub fn scan(path: &Path) -> Result<CheckpointScan, CheckpointError> {
+    let (header, lines) = open(path)?;
+    let mut scan = CheckpointScan {
+        header,
+        lines: Vec::new(),
+        units: BTreeMap::new(),
+    };
     for line in lines {
         let line = line.map_err(|e| io_error(path, &e))?;
-        if let Some((unit, _)) = decode_unit(&line) {
-            units.insert(unit);
-        }
+        let kind = scan.classify(&line);
+        scan.lines.push(kind);
     }
-    Ok(units.len())
+    Ok(scan)
 }
 
-/// Loads the completed units of `path`, hard-failing when the header is
-/// missing, unreadable or incompatible with `expected`.
-pub(crate) fn load_units(
-    path: &Path,
-    expected: &CheckpointHeader,
-    unit_count: usize,
-) -> Result<HashMap<usize, UnitOutput>, CheckpointError> {
-    let file = File::open(path).map_err(|e| io_error(path, &e))?;
-    let mut lines = BufReader::new(file).lines();
-    let header_line = match lines.next() {
-        Some(Ok(line)) => line,
-        Some(Err(e)) => return Err(io_error(path, &e)),
-        None => {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: "file is empty (no header line)".into(),
-            })
-        }
+/// Opens checkpoint `path` and applies the header rule; returns the
+/// header and the unread lines after it.
+fn open(path: &Path) -> Result<(CheckpointHeader, Split<BufReader<File>>), CheckpointError> {
+    let corrupt = |message: String| CheckpointError::Corrupt {
+        path: path.display().to_string(),
+        message,
     };
-    let header =
-        CheckpointHeader::parse(&header_line).map_err(|message| CheckpointError::Corrupt {
-            path: path.display().to_string(),
-            message,
-        })?;
-    header.check_compatible(expected)?;
-    let mut units = HashMap::new();
-    for line in lines {
-        let Ok(line) = line else { break };
-        if let Some((unit, output)) = decode_unit(&line) {
-            if unit < unit_count {
-                units.insert(unit, output);
-            }
-        }
-    }
-    Ok(units)
+    let file = File::open(path).map_err(|e| io_error(path, &e))?;
+    let mut lines = BufReader::new(file).split(b'\n');
+    let header_line = match lines.next() {
+        Some(line) => line.map_err(|e| io_error(path, &e))?,
+        None => return Err(corrupt(EMPTY_CHECKPOINT.into())),
+    };
+    let header_line = header_line.strip_suffix(b"\r").unwrap_or(&header_line);
+    let header = std::str::from_utf8(header_line)
+        .map_err(|_| "header is not valid UTF-8".to_string())
+        .and_then(CheckpointHeader::parse)
+        .map_err(corrupt)?;
+    Ok((header, lines))
 }
 
 /// Concurrent append-only checkpoint writer. Serialization happens on
@@ -747,14 +849,19 @@ mod tests {
         CheckpointHeader::capture(&netlist, &faults, &workloads, &CampaignConfig::default())
     }
 
-    fn sample_output() -> UnitOutput {
+    /// A record shaped for a chunk of `len` faults.
+    fn sample_output(len: usize) -> UnitOutput {
+        let mut outcomes = vec![FaultOutcome::Benign; len];
+        outcomes[..3].copy_from_slice(&[
+            FaultOutcome::Dangerous,
+            FaultOutcome::Latent,
+            FaultOutcome::Benign,
+        ]);
+        let mut first_divergence = vec![None; len];
+        first_divergence[0] = Some(4);
         UnitOutput {
-            outcomes: vec![
-                FaultOutcome::Dangerous,
-                FaultOutcome::Latent,
-                FaultOutcome::Benign,
-            ],
-            first_divergence: vec![Some(4), None, None],
+            outcomes,
+            first_divergence,
             stepped_fault_cycles: 24,
             gate_evals: 480,
         }
@@ -799,19 +906,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_headers_parse_as_unsharded() {
+    fn only_the_current_schema_parses() {
         let header = sample_header();
-        let line = header
-            .to_json_line()
-            .replace(CHECKPOINT_SCHEMA, CHECKPOINT_SCHEMA_V1);
-        let parsed = CheckpointHeader::parse(&line).unwrap();
-        assert_eq!(parsed.shard, None);
-        assert!(parsed.check_compatible(&header).is_ok());
-
-        let unknown = header
-            .to_json_line()
-            .replace("checkpoint/v2", "checkpoint/v9");
-        assert!(CheckpointHeader::parse(&unknown).is_err());
+        for old in ["checkpoint/v1", "checkpoint/v9"] {
+            let line = header.to_json_line().replace("checkpoint/v2", old);
+            let err = CheckpointHeader::parse(&line).unwrap_err();
+            assert!(err.contains("unsupported checkpoint schema"), "{err}");
+        }
     }
 
     #[test]
@@ -826,57 +927,119 @@ mod tests {
     }
 
     #[test]
-    fn unit_record_round_trips_and_detects_corruption() {
-        let output = sample_output();
+    fn unit_record_round_trips_and_diagnoses_corruption() {
+        let output = sample_output(64);
         let line = encode_unit(7, &output);
         let (unit, decoded) = decode_unit(&line).unwrap();
         assert_eq!(unit, 7);
-        assert_eq!(decoded.outcomes, output.outcomes);
-        assert_eq!(decoded.first_divergence, output.first_divergence);
-        assert_eq!(decoded.stepped_fault_cycles, 24);
-        assert_eq!(decoded.gate_evals, 480);
+        assert!(decoded == output);
         // Any tampering breaks the record digest.
-        assert!(decode_unit(&line.replace("DLB", "DDB")).is_none());
-        // Torn writes (truncated JSON) are skipped, not fatal.
-        assert!(decode_unit(&line[..line.len() - 10]).is_none());
+        let forged = line.replacen("DLB", "DDB", 1);
+        assert_eq!(
+            decode_unit(&forged).err().unwrap(),
+            "crc mismatch: record digest does not match its payload"
+        );
+        // Torn writes (truncated JSON) are diagnosed, not fatal.
+        let torn = decode_unit(&line[..line.len() - 10]).err().unwrap();
+        assert!(torn.contains("not valid JSON"), "{torn}");
+        let bad_char = decode_unit(&line.replacen("DLB", "DXB", 1)).err().unwrap();
+        assert!(
+            bad_char.contains("invalid outcome character 'X'"),
+            "{bad_char}"
+        );
     }
 
     #[test]
-    fn load_skips_corrupt_lines_and_validates_header() {
+    fn scan_sorts_every_line_by_the_three_rules() {
+        // 374 faults: chunks 0..=4 hold 64 faults, chunk 5 holds 54;
+        // two workloads make 12 units.
         let header = sample_header();
+        assert_eq!((header.unit_count(), header.chunk_len(5)), (12, 54));
+        assert_eq!(header.chunk_len(11), 54);
         let dir = std::env::temp_dir().join(format!("fusa_ckpt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("checkpoint.jsonl");
         let writer = CheckpointWriter::create(&path, &header).unwrap();
-        writer.record(0, &sample_output());
-        writer.record(3, &sample_output());
+        writer.record(0, &sample_output(64));
+        writer.record(5, &sample_output(54));
         drop(writer);
-        // Append garbage and a torn record.
+        let mut changed = sample_output(64);
+        changed.gate_evals += 1;
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("not json\n{\"unit\":5,\"outcomes\":\"D\n");
+        for line in [
+            encode_unit(0, &sample_output(64)),
+            encode_unit(0, &changed),
+            String::new(),
+            "not json".into(),
+            "{\"unit\":5,\"outcomes\":\"D".into(),
+            encode_unit(12, &sample_output(64)),
+            encode_unit(11, &sample_output(64)),
+            encode_unit(3, &sample_output(10)),
+        ] {
+            text.push_str(&line);
+            text.push('\n');
+        }
         std::fs::write(&path, &text).unwrap();
 
-        let units = load_units(&path, &header, 8).unwrap();
-        assert_eq!(units.len(), 2);
-        assert!(units.contains_key(&0) && units.contains_key(&3));
-
-        let mut other = header.clone();
-        other.fault_count += 1;
-        other.fault_digest = "fnv1a64:ffffffffffffffff".into();
-        assert!(matches!(
-            load_units(&path, &other, 8),
-            Err(CheckpointError::Mismatch { .. })
-        ));
+        let scan = scan(&path).unwrap();
+        assert_eq!(scan.header, header);
+        assert_eq!(CheckpointHeader::read(&path).unwrap(), header);
+        assert_eq!(
+            scan.lines[..5],
+            [
+                LineKind::Intact { unit: 0 },
+                LineKind::Intact { unit: 5 },
+                LineKind::Duplicate { unit: 0 },
+                LineKind::Conflict { unit: 0 },
+                LineKind::Blank,
+            ]
+        );
+        let causes: Vec<(Option<usize>, &str)> = scan.lines[5..]
+            .iter()
+            .map(|kind| match kind {
+                LineKind::Damaged { unit, cause } => (*unit, cause.as_str()),
+                other => panic!("expected damage, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            causes,
+            [
+                (None, "not valid JSON (torn or partial write)"),
+                (None, "not valid JSON (torn or partial write)"),
+                (Some(12), "unit 12 out of range (campaign has 12 units)"),
+                (
+                    Some(11),
+                    "unit 11 has 64 outcomes, but its chunk holds 54 faults"
+                ),
+                (
+                    Some(3),
+                    "unit 3 has 10 outcomes, but its chunk holds 64 faults"
+                ),
+            ]
+        );
+        assert_eq!(scan.units.len(), 2);
+        // The first intact record of unit 0 wins.
+        assert!(scan.units[&0] == sample_output(64));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn missing_checkpoint_is_io_error() {
-        let header = sample_header();
-        let path = std::env::temp_dir().join("fusa_ckpt_does_not_exist.jsonl");
+    fn missing_empty_and_headless_checkpoints_are_typed_errors() {
+        let dir = std::env::temp_dir().join(format!("fusa_ckpt_err_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.jsonl");
+        assert!(matches!(scan(&path), Err(CheckpointError::Io { .. })));
+        std::fs::write(&path, "").unwrap();
         assert!(matches!(
-            load_units(&path, &header, 8),
-            Err(CheckpointError::Io { .. })
+            scan(&path),
+            Err(CheckpointError::Corrupt { message, .. }) if message == EMPTY_CHECKPOINT
         ));
+        assert_eq!(
+            CheckpointHeader::read(&path).unwrap_err(),
+            scan(&path).unwrap_err()
+        );
+        std::fs::write(&path, b"\xff\xfe\n").unwrap();
+        assert!(matches!(scan(&path), Err(CheckpointError::Corrupt { .. })));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,23 +9,22 @@
 //! [`FsckOptions::repair`], rewrites the checkpoint keeping the valid
 //! header and every intact unit record.
 //!
-//! The validation rules are deliberately the same code paths the rest
-//! of the system uses: headers go through
-//! [`CheckpointHeader::parse`](crate::CheckpointHeader), unit records
-//! through the same decoder `--resume` applies (torn JSON, bad outcome
-//! characters, lane-count mismatches, digest failures), and the unit
-//! space comes from the same arithmetic `fusa merge` validates against.
-//! What fsck adds is the *diagnosis*: when the decoder rejects a line,
-//! `diagnose_unit_line` re-parses it step by step to name the first
-//! check that failed.
+//! The validation rules are the same code path the rest of the system
+//! uses: the checkpoint is read by [`checkpoint::scan`], the reader
+//! `--resume` and `fusa merge` consume, so a line fsck calls intact is
+//! exactly a line they use. What fsck adds is the *report*: every line
+//! the scan sorts as damaged is listed with the cause the decoder or
+//! the shape rule named (torn JSON, bad outcome characters, lane-count
+//! mismatches, digest failures, a unit out of range or not fitting its
+//! chunk).
 //!
 //! Repair is conservative by construction:
 //!
 //! - the rewritten file contains only records that already passed their
 //!   digest — fsck never invents or interpolates results;
 //! - conflicting duplicates (two *valid* records for one unit with
-//!   different payloads) keep the first occurrence, matching the
-//!   precedence `fusa merge` applies, and the conflict is reported;
+//!   different payloads) keep the first occurrence — the scan's
+//!   duplicate rule — and the conflict is reported;
 //! - a corrupt header is not repairable (the header binds the campaign
 //!   identity; guessing it could graft results onto the wrong design),
 //!   so fsck reports it and leaves the file untouched;
@@ -37,11 +36,11 @@
 //! `fusa faults … --resume` commands that would fill them, reusing the
 //! shard-aware hint machinery from [`crate::merge`].
 
-use crate::campaign::UnitOutput;
-use crate::checkpoint::{decode_unit, encode_unit, CheckpointHeader};
-use crate::merge::{campaign_unit_count, rerun_commands, MergeSource};
-use fusa_obs::{Json, RunManifest, StatusSnapshot};
-use std::collections::BTreeMap;
+use crate::checkpoint::{
+    self, encode_unit, CheckpointError, CheckpointHeader, LineKind, EMPTY_CHECKPOINT,
+};
+use crate::merge::{rerun_commands, MergeSource};
+use fusa_obs::{RunManifest, StatusSnapshot};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -288,109 +287,80 @@ pub fn fsck_path(path: &Path, options: &FsckOptions) -> Result<FsckReport, FsckE
     Ok(report)
 }
 
-/// Scans one checkpoint file line by line, reporting every damaged
-/// line with its cause, and optionally rewrites the salvageable part.
+/// Reports every damaged line of one checkpoint with its cause, and
+/// optionally rewrites the salvageable part.
 fn check_checkpoint(
     path: &Path,
     options: &FsckOptions,
     report: &mut FsckReport,
 ) -> Result<(), FsckError> {
-    let text = fs::read_to_string(path).map_err(|e| FsckError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
     report.checkpoint = Some(path.to_path_buf());
-
-    let mut lines = text.lines().enumerate();
-    let header = match lines.next() {
-        None => {
-            report.push(path, Some(1), None, "file is empty (no header line)".into());
+    let scan = match checkpoint::scan(path) {
+        Ok(scan) => scan,
+        Err(CheckpointError::Corrupt { message, .. }) => {
+            let cause = if message == EMPTY_CHECKPOINT {
+                message
+            } else {
+                format!("header: {message}")
+            };
+            report.push(path, Some(1), None, cause);
             return Ok(());
         }
-        Some((_, line)) => match CheckpointHeader::parse(line) {
-            Ok(header) => header,
-            Err(message) => {
-                report.push(path, Some(1), None, format!("header: {message}"));
-                return Ok(());
-            }
-        },
+        Err(error) => {
+            let message = match error {
+                CheckpointError::Io { message, .. } => message,
+                other => other.to_string(),
+            };
+            return Err(FsckError::Io {
+                path: path.display().to_string(),
+                message,
+            });
+        }
     };
-    report.campaign_units = campaign_unit_count(&header);
+    let header = &scan.header;
+    report.campaign_units = header.unit_count();
 
-    // First intact record wins on conflict (the precedence `fusa merge`
-    // applies); identical duplicates — a unit rewritten after a retried
-    // append — are the normal torn-write recovery pattern, not damage.
-    let mut intact: BTreeMap<usize, (String, UnitOutput)> = BTreeMap::new();
+    // Identical duplicates — a unit rewritten after a retried append —
+    // and blank lines are the normal torn-write recovery pattern, not
+    // damage; repair drops them.
     let mut needs_rewrite = false;
-    for (index, line) in lines {
-        let line_no = index + 1;
-        if line.trim().is_empty() {
-            // Blank lines are what the newline-guarded retry path leaves
-            // behind a torn fragment; resume skips them, repair drops them.
-            needs_rewrite = true;
-            continue;
-        }
-        match decode_unit(line) {
-            Some((unit, output)) => {
-                if unit >= report.campaign_units {
-                    report.push(
-                        path,
-                        Some(line_no),
-                        Some(unit),
-                        format!(
-                            "unit {unit} out of range (campaign has {} units)",
-                            report.campaign_units
-                        ),
-                    );
-                    needs_rewrite = true;
-                    continue;
-                }
-                let canonical = encode_unit(unit, &output);
-                match intact.get(&unit) {
-                    None => {
-                        intact.insert(unit, (canonical, output));
-                        // A non-canonical but valid line still re-encodes
-                        // identically, so only damage forces a rewrite.
-                    }
-                    Some((first, _)) if *first == canonical => needs_rewrite = true,
-                    Some(_) => {
-                        report.push(
-                            path,
-                            Some(line_no),
-                            Some(unit),
-                            format!(
-                                "conflicting duplicate of unit {unit} \
-                                 (differs from an earlier intact record; first wins)"
-                            ),
-                        );
-                        needs_rewrite = true;
-                    }
-                }
-            }
-            None => {
-                report.push(path, Some(line_no), None, diagnose_unit_line(line));
+    for (index, kind) in scan.lines.iter().enumerate() {
+        let (unit, cause) = match kind {
+            LineKind::Intact { .. } => continue,
+            LineKind::Blank | LineKind::Duplicate { .. } => {
                 needs_rewrite = true;
+                continue;
             }
-        }
+            LineKind::Conflict { unit } => (
+                Some(*unit),
+                format!(
+                    "conflicting duplicate of unit {unit} \
+                     (differs from an earlier intact record; first wins)"
+                ),
+            ),
+            LineKind::Damaged { unit, cause } => (*unit, cause.clone()),
+        };
+        report.push(path, Some(index + 2), unit, cause);
+        needs_rewrite = true;
     }
 
     let expected: Vec<usize> = (0..report.campaign_units)
         .filter(|&unit| header.shard.is_none_or(|shard| shard.owns(unit)))
         .collect();
     report.expected_units = expected.len();
-    report.intact_units = intact.len();
+    report.intact_units = scan.units.len();
     report.missing_units = expected
         .iter()
         .copied()
-        .filter(|unit| !intact.contains_key(unit))
+        .filter(|unit| !scan.units.contains_key(unit))
         .collect();
     if !report.missing_units.is_empty() {
         let sources = [MergeSource {
             path: path.to_path_buf(),
             shard: header.shard,
-            units: intact.len(),
+            units: scan.units.len(),
         }];
-        report.resume_commands = rerun_commands(&header, &sources, &report.missing_units);
+        report.resume_commands = rerun_commands(header, &sources, &report.missing_units);
         // The generic unsharded hint does not know the path; fsck does.
         if header.shard.is_none() {
             report.resume_commands = vec![format!(
@@ -404,8 +374,8 @@ fn check_checkpoint(
     if options.repair && needs_rewrite {
         let mut rebuilt = header.to_json_line();
         rebuilt.push('\n');
-        for (canonical, _) in intact.values() {
-            rebuilt.push_str(canonical);
+        for (unit, output) in &scan.units {
+            rebuilt.push_str(&encode_unit(*unit, output));
             rebuilt.push('\n');
         }
         let tmp = path.with_extension("jsonl.fsck-tmp");
@@ -422,7 +392,7 @@ fn check_checkpoint(
             }
         }
     }
-    report.header = Some(header);
+    report.header = Some(scan.header);
     Ok(())
 }
 
@@ -445,48 +415,6 @@ fn check_status(path: &Path, report: &mut FsckReport) -> Result<(), FsckError> {
         report.push(path, None, None, e);
     }
     Ok(())
-}
-
-/// Names the first validation check a rejected unit line fails. Only
-/// called for lines [`decode_unit`] returned `None` for, so the checks
-/// mirror the decoder's, in the decoder's order — if every structural
-/// check passes here, the rejection was the record digest.
-fn diagnose_unit_line(line: &str) -> String {
-    let json = match Json::parse(line) {
-        Ok(json) => json,
-        Err(_) => return "not valid JSON (torn or partial write)".into(),
-    };
-    if json.get("unit").and_then(Json::as_u64).is_none() {
-        return "missing or non-numeric `unit` field".into();
-    }
-    let Some(outcomes) = json.get("outcomes").and_then(Json::as_str) else {
-        return "missing `outcomes` field".into();
-    };
-    if let Some(bad) = outcomes.chars().find(|c| !matches!(c, 'D' | 'L' | 'B')) {
-        return format!("invalid outcome character {bad:?} (expected D/L/B)");
-    }
-    let Some(divergence) = json.get("first_divergence").and_then(Json::as_arr) else {
-        return "missing or malformed `first_divergence` array".into();
-    };
-    if divergence.iter().any(|item| item.as_f64().is_none()) {
-        return "non-numeric entry in `first_divergence`".into();
-    }
-    if divergence.len() != outcomes.chars().count() {
-        return format!(
-            "first_divergence length {} does not match {} outcomes",
-            divergence.len(),
-            outcomes.chars().count()
-        );
-    }
-    for field in ["stepped_fault_cycles", "gate_evals"] {
-        if json.get(field).and_then(Json::as_u64).is_none() {
-            return format!("missing or non-numeric `{field}` field");
-        }
-    }
-    if json.get("crc").and_then(Json::as_str).is_none() {
-        return "missing `crc` field".into();
-    }
-    "crc mismatch: record digest does not match its payload".into()
 }
 
 #[cfg(test)]
@@ -525,10 +453,17 @@ mod tests {
         CheckpointHeader::capture(&netlist, &faults, &workloads, &config)
     }
 
-    fn sample_output(unit: usize) -> UnitOutput {
+    /// A record shaped for `unit`'s chunk under `header`; its outcomes
+    /// read `DBBB…`.
+    fn sample_output(header: &CheckpointHeader, unit: usize) -> UnitOutput {
+        let len = header.chunk_len(unit);
+        let mut outcomes = vec![FaultOutcome::Benign; len];
+        outcomes[0] = FaultOutcome::Dangerous;
+        let mut first_divergence = vec![None; len];
+        first_divergence[0] = Some(unit as u32);
         UnitOutput {
-            outcomes: vec![FaultOutcome::Dangerous, FaultOutcome::Benign],
-            first_divergence: vec![Some(unit as u32), None],
+            outcomes,
+            first_divergence,
             stepped_fault_cycles: 10 + unit as u64,
             gate_evals: 100 + unit as u64,
         }
@@ -538,7 +473,7 @@ mod tests {
         let mut text = header.to_json_line();
         text.push('\n');
         for &unit in units {
-            text.push_str(&encode_unit(unit, &sample_output(unit)));
+            text.push_str(&encode_unit(unit, &sample_output(header, unit)));
             text.push('\n');
         }
         fs::write(path, text).expect("write checkpoint");
@@ -548,7 +483,7 @@ mod tests {
     fn clean_partial_checkpoint_reports_holes_with_resume_commands() {
         let dir = temp_dir("clean");
         let header = sample_header(None);
-        let units = campaign_unit_count(&header);
+        let units = header.unit_count();
         let path = dir.join("checkpoint.jsonl");
         let present: Vec<usize> = (0..units).filter(|u| u % 2 == 0).collect();
         write_checkpoint(&path, &header, &present);
@@ -584,8 +519,8 @@ mod tests {
         let torn = lines[3].clone();
         lines[3] = torn[..torn.len() / 2].to_string();
         // `DB` only occurs in the outcomes string (crc is lowercase hex).
-        let forged = encode_unit(3, &sample_output(3)).replace("DB", "DD");
-        assert_ne!(forged, encode_unit(3, &sample_output(3)));
+        let forged = encode_unit(3, &sample_output(&header, 3)).replace("DB", "DD");
+        assert_ne!(forged, encode_unit(3, &sample_output(&header, 3)));
         lines.push(forged);
         fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
 
@@ -707,7 +642,7 @@ mod tests {
         let dir = temp_dir("shard");
         let shard = ShardSpec { index: 1, total: 3 };
         let header = sample_header(Some(shard));
-        let units = campaign_unit_count(&header);
+        let units = header.unit_count();
         let owned: Vec<usize> = (0..units).filter(|&u| shard.owns(u)).collect();
         let path = dir.join("checkpoint.jsonl");
         write_checkpoint(&path, &header, &owned);
@@ -769,9 +704,9 @@ mod tests {
         let path = dir.join("checkpoint.jsonl");
         let mut text = header.to_json_line();
         text.push('\n');
-        text.push_str(&encode_unit(0, &sample_output(0)));
+        text.push_str(&encode_unit(0, &sample_output(&header, 0)));
         text.push('\n');
-        text.push_str(&encode_unit(0, &sample_output(7)));
+        text.push_str(&encode_unit(0, &sample_output(&header, 7)));
         text.push('\n');
         fs::write(&path, text).unwrap();
 
@@ -787,7 +722,7 @@ mod tests {
         let repaired = fs::read_to_string(&path).unwrap();
         let records: Vec<&str> = repaired.lines().skip(1).collect();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0], encode_unit(0, &sample_output(0)));
+        assert_eq!(records[0], encode_unit(0, &sample_output(&header, 0)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

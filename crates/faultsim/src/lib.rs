@@ -41,10 +41,7 @@ pub mod seu;
 pub mod shard;
 
 pub use campaign::{CampaignConfig, FaultCampaign};
-pub use checkpoint::{
-    read_header, read_unit_count, CheckpointError, CheckpointHeader, CHECKPOINT_SCHEMA,
-    CHECKPOINT_SCHEMA_V1,
-};
+pub use checkpoint::{CheckpointError, CheckpointHeader, CHECKPOINT_SCHEMA};
 pub use dataset::CriticalityDataset;
 pub use durability::{
     CampaignError, DurabilityConfig, FaultInjection, IoRetryPolicy, QuarantinedUnit,

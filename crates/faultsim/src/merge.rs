@@ -20,14 +20,17 @@
 //!    excluded from the comparison, because differing only in shard
 //!    spec is exactly what shard checkpoints do. Violation:
 //!    [`MergeError::HeaderMismatch`].
-//! 2. **Conflict detection.** A unit may appear in several inputs (for
-//!    example after overlapping shard reruns). Records whose canonical
-//!    encoding is identical are deduplicated; records that disagree
-//!    about a unit's outcomes mean the inputs were not produced by the
-//!    same campaign, and the merge aborts with
-//!    [`MergeError::ConflictingUnit`] rather than guess. Torn or
-//!    corrupt lines (a shard killed mid-write) are skipped and counted,
-//!    exactly as `--resume` would skip them.
+//! 2. **Conflict detection.** Each input is read by
+//!    [`checkpoint::scan`], the reader `--resume` and `fusa fsck` use,
+//!    so a line counts as a record here exactly when it does there. A
+//!    unit may appear in several inputs (for example after overlapping
+//!    shard reruns). Identical records are deduplicated; records that
+//!    disagree about a unit's outcomes — across inputs or within one —
+//!    mean the inputs were not produced by the same campaign, and the
+//!    merge aborts with [`MergeError::ConflictingUnit`] rather than
+//!    guess. Damaged lines (torn by a shard killed mid-write, failing
+//!    their digest, or not fitting their chunk) are skipped and
+//!    counted, exactly as `--resume` would skip them.
 //! 3. **Coverage.** After all inputs are read, every unit of the full
 //!    campaign must be present. Holes — a shard never ran, or was
 //!    interrupted and not resumed — abort with
@@ -91,14 +94,14 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::campaign::LANES;
-use crate::checkpoint::{self, CheckpointError, CheckpointHeader};
+use crate::campaign::UnitOutput;
+use crate::checkpoint::{self, CheckpointError, CheckpointHeader, LineKind};
 use crate::shard::{shard_of, ShardSpec};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors raised by [`merge_checkpoints`].
@@ -250,18 +253,18 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
     let mut common: Option<CheckpointHeader> = None;
     // BTreeMap so the merged checkpoint lists units in unit order — the
     // canonical form a fresh single-process run would also settle into
-    // after sorting, and the easiest form to eyeball.
-    let mut merged: BTreeMap<usize, String> = BTreeMap::new();
-    let mut first_source: HashMap<usize, usize> = HashMap::new();
+    // after sorting, and the easiest form to eyeball. Each unit keeps
+    // the index of the input that contributed it first.
+    let mut merged: BTreeMap<usize, (usize, UnitOutput)> = BTreeMap::new();
     let mut sources: Vec<MergeSource> = Vec::new();
     let mut duplicate_units = 0usize;
     let mut skipped_lines = 0usize;
 
     for (source_index, path) in inputs.iter().enumerate() {
-        let header = checkpoint::read_header(path)?;
+        let scan = checkpoint::scan(path)?;
         match &common {
             Some(common) => {
-                header
+                scan.header
                     .check_compatible_ignoring_shard(common)
                     .map_err(|mismatch| MergeError::HeaderMismatch {
                         path: path.display().to_string(),
@@ -269,60 +272,49 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
                     })?;
             }
             None => {
-                let mut stripped = header.clone();
+                let mut stripped = scan.header.clone();
                 stripped.shard = None;
                 common = Some(stripped);
             }
         }
-        let unit_count = campaign_unit_count(common.as_ref().expect("common header set"));
-
-        let file = File::open(path).map_err(|e| {
-            MergeError::Checkpoint(CheckpointError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })
-        })?;
-        let mut contributed = 0usize;
-        for line in BufReader::new(file).lines().skip(1) {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let conflict = |unit: usize, first: usize| MergeError::ConflictingUnit {
+            unit,
+            first: inputs[first].display().to_string(),
+            second: path.display().to_string(),
+        };
+        for kind in &scan.lines {
+            match *kind {
+                LineKind::Duplicate { .. } => duplicate_units += 1,
+                LineKind::Conflict { unit } => return Err(conflict(unit, source_index)),
+                LineKind::Damaged { .. } => skipped_lines += 1,
+                LineKind::Intact { .. } | LineKind::Blank => {}
             }
-            // Decode validates the per-record digest, so a canonical
-            // re-encoding is equal if and only if the payloads agree.
-            match checkpoint::decode_unit(&line) {
-                Some((unit, output)) if unit < unit_count => {
-                    let canonical = checkpoint::encode_unit(unit, &output);
-                    match merged.entry(unit) {
-                        Entry::Occupied(existing) => {
-                            if existing.get() != &canonical {
-                                return Err(MergeError::ConflictingUnit {
-                                    unit,
-                                    first: inputs[first_source[&unit]].display().to_string(),
-                                    second: path.display().to_string(),
-                                });
-                            }
-                            duplicate_units += 1;
-                        }
-                        Entry::Vacant(slot) => {
-                            slot.insert(canonical);
-                            first_source.insert(unit, source_index);
-                            contributed += 1;
-                        }
+        }
+        let mut contributed = 0usize;
+        for (unit, output) in scan.units {
+            match merged.entry(unit) {
+                Entry::Occupied(existing) => {
+                    let (first, earlier) = existing.get();
+                    if *earlier != output {
+                        return Err(conflict(unit, *first));
                     }
+                    duplicate_units += 1;
                 }
-                _ => skipped_lines += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert((source_index, output));
+                    contributed += 1;
+                }
             }
         }
         sources.push(MergeSource {
             path: path.clone(),
-            shard: header.shard,
+            shard: scan.header.shard,
             units: contributed,
         });
     }
 
     let header = common.expect("at least one input");
-    let unit_count = campaign_unit_count(&header);
+    let unit_count = header.unit_count();
     let missing: Vec<usize> = (0..unit_count)
         .filter(|unit| !merged.contains_key(unit))
         .collect();
@@ -345,8 +337,8 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
     let write_all = |writer: &mut BufWriter<File>| -> std::io::Result<()> {
         writer.write_all(header.to_json_line().as_bytes())?;
         writer.write_all(b"\n")?;
-        for line in merged.values() {
-            writer.write_all(line.as_bytes())?;
+        for (unit, (_, output)) in &merged {
+            writer.write_all(checkpoint::encode_unit(*unit, output).as_bytes())?;
             writer.write_all(b"\n")?;
         }
         writer.flush()
@@ -360,12 +352,6 @@ pub fn merge_checkpoints(inputs: &[PathBuf], out: &Path) -> Result<MergeOutcome,
         duplicate_units,
         skipped_lines,
     })
-}
-
-/// Units of the full campaign a header describes. Shared with `fsck`,
-/// which validates a single checkpoint against the same unit space.
-pub(crate) fn campaign_unit_count(header: &CheckpointHeader) -> usize {
-    header.workload_count * header.fault_count.div_ceil(LANES)
 }
 
 /// Builds the exact `fusa faults … --shard i/n` commands that would
@@ -415,7 +401,7 @@ pub(crate) fn rerun_commands(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, UnitOutput};
+    use crate::campaign::CampaignConfig;
     use crate::fault::FaultList;
     use crate::report::FaultOutcome;
     use fusa_logicsim::{WorkloadConfig, WorkloadSuite};
@@ -441,14 +427,14 @@ mod tests {
         CheckpointHeader::capture(&netlist, &faults, &workloads, &config)
     }
 
-    fn sample_output(unit: usize) -> UnitOutput {
+    /// A record shaped for `unit`'s chunk under `header`.
+    fn sample_output(header: &CheckpointHeader, unit: usize) -> UnitOutput {
+        let len = header.chunk_len(unit);
+        let mut first_divergence = vec![None; len];
+        first_divergence[0] = Some(unit as u32);
         UnitOutput {
-            outcomes: vec![
-                FaultOutcome::Dangerous,
-                FaultOutcome::Latent,
-                FaultOutcome::Benign,
-            ],
-            first_divergence: vec![Some(unit as u32), None, None],
+            outcomes: vec![FaultOutcome::Latent; len],
+            first_divergence,
             stepped_fault_cycles: 10 + unit as u64,
             gate_evals: 100 + unit as u64,
         }
@@ -465,7 +451,7 @@ mod tests {
         let mut text = header.to_json_line();
         text.push('\n');
         for &unit in units {
-            text.push_str(&checkpoint::encode_unit(unit, &sample_output(unit)));
+            text.push_str(&checkpoint::encode_unit(unit, &sample_output(header, unit)));
             text.push('\n');
         }
         std::fs::write(path, text).unwrap();
@@ -478,7 +464,7 @@ mod tests {
     #[test]
     fn disjoint_shards_merge_to_full_coverage_in_unit_order() {
         let dir = temp_dir("disjoint");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         assert!(unit_count >= 4, "test design too small: {unit_count} units");
         let mut paths = Vec::new();
         for index in 1..=2 {
@@ -518,7 +504,7 @@ mod tests {
     #[test]
     fn identical_duplicates_dedupe_conflicting_payloads_abort() {
         let dir = temp_dir("overlap");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let all: Vec<usize> = (0..unit_count).collect();
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
@@ -529,19 +515,14 @@ mod tests {
         assert_eq!(outcome.duplicate_units, unit_count);
 
         // Flip one unit's payload in b: typed hard error naming both files.
-        let mut text = sample_header(None).to_json_line();
+        let header = sample_header(None);
+        let mut text = header.to_json_line();
         text.push('\n');
         for &unit in &all {
-            let output = if unit == 1 {
-                UnitOutput {
-                    outcomes: vec![FaultOutcome::Benign],
-                    first_divergence: vec![None],
-                    stepped_fault_cycles: 1,
-                    gate_evals: 1,
-                }
-            } else {
-                sample_output(unit)
-            };
+            let mut output = sample_output(&header, unit);
+            if unit == 1 {
+                output.outcomes[0] = FaultOutcome::Benign;
+            }
             text.push_str(&checkpoint::encode_unit(unit, &output));
             text.push('\n');
         }
@@ -557,7 +538,7 @@ mod tests {
     #[test]
     fn missing_shard_reports_hole_with_exact_rerun_command() {
         let dir = temp_dir("missing");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let mut paths = Vec::new();
         // Shards 1 and 3 of 3 present, shard 2 never ran.
         for index in [1usize, 3] {
@@ -591,7 +572,7 @@ mod tests {
     #[test]
     fn interrupted_shard_hole_suggests_resuming_its_checkpoint() {
         let dir = temp_dir("resume_hint");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let mut paths = Vec::new();
         for index in 1..=2 {
             let shard = ShardSpec { index, total: 2 };
@@ -619,7 +600,7 @@ mod tests {
     #[test]
     fn torn_final_line_is_tolerated_when_covered_elsewhere() {
         let dir = temp_dir("torn");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let shard1 = ShardSpec { index: 1, total: 2 };
         let shard2 = ShardSpec { index: 2, total: 2 };
         let a = dir.join("shard1.jsonl");
@@ -639,7 +620,9 @@ mod tests {
         // tail, so coverage survives and the torn line is just counted.
         let last = owned_units(shard2, unit_count).pop().unwrap();
         let mut torn = std::fs::read_to_string(&b).unwrap();
-        torn.push_str(&checkpoint::encode_unit(last, &sample_output(last))[..20]);
+        torn.push_str(
+            &checkpoint::encode_unit(last, &sample_output(&sample_header(None), last))[..20],
+        );
         std::fs::write(&b, &torn).unwrap();
         let outcome = merge_checkpoints(&[a.clone(), b.clone()], &dir.join("m.jsonl")).unwrap();
         assert_eq!(outcome.skipped_lines, 1);
@@ -650,7 +633,9 @@ mod tests {
         let last = units.pop().unwrap();
         write_checkpoint(&b, &sample_header(Some(shard2)), &units);
         let mut torn = std::fs::read_to_string(&b).unwrap();
-        torn.push_str(&checkpoint::encode_unit(last, &sample_output(last))[..20]);
+        torn.push_str(
+            &checkpoint::encode_unit(last, &sample_output(&sample_header(None), last))[..20],
+        );
         std::fs::write(&b, &torn).unwrap();
         let err = merge_checkpoints(&[a, b], &dir.join("m2.jsonl")).unwrap_err();
         let MergeError::MissingUnits { missing, .. } = &err else {
@@ -668,7 +653,7 @@ mod tests {
         // must fail with a typed error carrying the file path; any panic
         // here would take down a whole merge over one bad shard.
         let dir = temp_dir("torn_header");
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let shard1 = ShardSpec { index: 1, total: 2 };
         let shard2 = ShardSpec { index: 2, total: 2 };
         let a = dir.join("shard1.jsonl");
@@ -712,7 +697,7 @@ mod tests {
             MergeError::NoInputs
         );
 
-        let unit_count = campaign_unit_count(&sample_header(None));
+        let unit_count = sample_header(None).unit_count();
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         write_checkpoint(&a, &sample_header(None), &[0]);

@@ -120,6 +120,12 @@ impl SeuCampaign {
         );
         let flops = netlist.sequential_gates();
         let soa = (!flops.is_empty()).then(|| SoaNetlist::new(netlist));
+        let run_experiment = match self.config.lane_words {
+            1 => run_chunks_wide::<1>,
+            4 => run_chunks_wide::<4>,
+            8 => run_chunks_wide::<8>,
+            _ => unreachable!("lane_words is validated above"),
+        };
         let mut corrupted = vec![0usize; flops.len()];
         let mut latent = vec![0usize; flops.len()];
         let mut experiments = 0usize;
@@ -130,6 +136,11 @@ impl SeuCampaign {
         };
 
         'campaign: for workload in workloads.workloads() {
+            // The fault-free run is the same for every injection point;
+            // without flops there is nothing to flip.
+            let golden = soa
+                .as_ref()
+                .map(|soa| (soa, GoldenRun::compute(netlist, workload, &flops)));
             for &fraction in &self.config.injection_points {
                 if stop_requested() {
                     interrupted = true;
@@ -138,16 +149,17 @@ impl SeuCampaign {
                 let inject_cycle = ((workload.len() as f64 * fraction) as usize)
                     .min(workload.len().saturating_sub(1));
                 experiments += 1;
-                run_injection(
-                    netlist,
-                    soa.as_ref(),
-                    self.config.lane_words,
-                    workload,
-                    &flops,
-                    inject_cycle,
-                    &mut corrupted,
-                    &mut latent,
-                );
+                if let Some((soa, golden)) = &golden {
+                    run_experiment(
+                        soa,
+                        workload,
+                        &flops,
+                        inject_cycle,
+                        golden,
+                        &mut corrupted,
+                        &mut latent,
+                    );
+                }
             }
         }
 
@@ -165,68 +177,45 @@ impl SeuCampaign {
     }
 }
 
-/// One injection experiment: `64 · lane_words` flops flipped per pass at
-/// `inject_cycle`. The golden trace comes from the broadcast [`BitSim`]
+/// The fault-free run of one workload: per-cycle primary outputs and
+/// the end state of every flop. It comes from the broadcast [`BitSim`]
 /// (its `0`/`u64::MAX` lanes compare against any word), so every lane
-/// width scores identically. `soa` is `None` only when there are no
-/// flops to flip.
-#[allow(clippy::too_many_arguments)]
-fn run_injection(
-    netlist: &Netlist,
-    soa: Option<&SoaNetlist>,
-    lane_words: usize,
-    workload: &Workload,
-    flops: &[GateId],
-    inject_cycle: usize,
-    corrupted: &mut [usize],
-    latent: &mut [usize],
-) {
-    let Some(soa) = soa else {
-        return;
-    };
-    // Golden trace.
-    let mut golden = BitSim::new(netlist);
-    let output_count = netlist.primary_outputs().len();
-    let mut out_buf = vec![0u64; output_count];
-    let mut golden_trace = Vec::with_capacity(workload.len() * output_count);
-    for vector in &workload.vectors {
-        golden.step_broadcast_into(vector, &mut out_buf);
-        golden_trace.extend_from_slice(&out_buf);
-    }
-    let golden_state: Vec<u64> = flops.iter().map(|&g| golden.flop_lanes(g)).collect();
-
-    let run = match lane_words {
-        1 => run_chunks_wide::<1>,
-        4 => run_chunks_wide::<4>,
-        8 => run_chunks_wide::<8>,
-        _ => unreachable!("lane_words is validated by SeuCampaign::run"),
-    };
-    run(
-        soa,
-        workload,
-        flops,
-        inject_cycle,
-        &golden_trace,
-        &golden_state,
-        corrupted,
-        latent,
-    );
+/// width scores identically.
+struct GoldenRun {
+    /// `cycle × output_count` output words.
+    trace: Vec<u64>,
+    /// Final state per flop, in campaign order.
+    state: Vec<u64>,
 }
 
-/// Wide sweep of one injection experiment: flop `i` of a group occupies
-/// word `i / 64`, lane `i % 64`.
-#[allow(clippy::too_many_arguments)]
+impl GoldenRun {
+    fn compute(netlist: &Netlist, workload: &Workload, flops: &[GateId]) -> GoldenRun {
+        let mut golden = BitSim::new(netlist);
+        let output_count = netlist.primary_outputs().len();
+        let mut out_buf = vec![0u64; output_count];
+        let mut trace = Vec::with_capacity(workload.len() * output_count);
+        for vector in &workload.vectors {
+            golden.step_broadcast_into(vector, &mut out_buf);
+            trace.extend_from_slice(&out_buf);
+        }
+        let state = flops.iter().map(|&g| golden.flop_lanes(g)).collect();
+        GoldenRun { trace, state }
+    }
+}
+
+/// One injection experiment: `64 · W` flops flipped per pass at
+/// `inject_cycle`; flop `i` of a group occupies word `i / 64`, lane
+/// `i % 64`.
 fn run_chunks_wide<const W: usize>(
     soa: &SoaNetlist,
     workload: &Workload,
     flops: &[GateId],
     inject_cycle: usize,
-    golden_trace: &[u64],
-    golden_state: &[u64],
+    golden: &GoldenRun,
     corrupted: &mut [usize],
     latent: &mut [usize],
 ) {
-    let output_count = golden_trace.len() / workload.len().max(1);
+    let output_count = golden.trace.len() / workload.len().max(1);
     let mut sim = WideSim::<W>::new(soa);
     for (group_index, group) in flops.chunks(64 * W).enumerate() {
         sim.reset();
@@ -243,7 +232,7 @@ fn run_chunks_wide<const W: usize>(
             sim.settle();
             if cycle > inject_cycle {
                 for o in 0..output_count {
-                    let golden = golden_trace[cycle * output_count + o];
+                    let golden = golden.trace[cycle * output_count + o];
                     for (co, word) in diverged.iter_mut().enumerate().take(members) {
                         *word |= sim.output_word(o, co) ^ golden;
                     }
@@ -254,7 +243,7 @@ fn run_chunks_wide<const W: usize>(
         let mut state_differs = [0u64; W];
         for (s, &g) in flops.iter().enumerate() {
             for (co, word) in state_differs.iter_mut().enumerate().take(members) {
-                *word |= sim.flop_word(g, co) ^ golden_state[s];
+                *word |= sim.flop_word(g, co) ^ golden.state[s];
             }
         }
         for (i, _) in group.iter().enumerate() {

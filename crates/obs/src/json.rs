@@ -209,10 +209,16 @@ impl Json {
     }
 
     /// Parses one JSON value from `input` (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Arrays and objects nested more than
+    /// 128 levels deep are rejected, so hostile input cannot exhaust the
+    /// stack of this recursive-descent parser.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
-        let mut parser = Parser { bytes, at: 0 };
+        let mut parser = Parser {
+            bytes,
+            at: 0,
+            depth: 0,
+        };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -223,9 +229,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts; every document
+/// this workspace writes nests at most four levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -266,8 +278,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("arrays and objects nested too deeply"));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -435,6 +458,12 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("true false").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+        // Hostile nesting is a typed error, not a stack overflow.
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nested too deeply"), "{err:?}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
         let err = Json::parse("nope").unwrap_err();
         assert!(err.to_string().contains("at byte"));
     }

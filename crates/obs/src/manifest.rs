@@ -14,23 +14,9 @@ use crate::recorder::Snapshot;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Schema identifier stamped into every newly written manifest.
+/// Schema identifier stamped into every manifest, and the only one
+/// [`RunManifest::parse`] accepts.
 pub const MANIFEST_SCHEMA: &str = "fusa-obs/manifest/v4";
-
-/// The v3 schema; still accepted by [`RunManifest::parse`]. v3
-/// manifests predate sharded campaigns: no `shard` spec and no
-/// `merged_from` provenance (both default to a plain full run).
-pub const MANIFEST_SCHEMA_V3: &str = "fusa-obs/manifest/v3";
-
-/// The v2 schema; still accepted by [`RunManifest::parse`]. v2
-/// manifests predate campaign durability: no `interrupted` flag and no
-/// `quarantined` section (both default to clean-run values).
-pub const MANIFEST_SCHEMA_V2: &str = "fusa-obs/manifest/v2";
-
-/// The original schema; still accepted by [`RunManifest::parse`].
-/// v1 manifests have no `build` or `histograms` sections and encode an
-/// unknown peak RSS as `0` (v2+ uses `null`).
-pub const MANIFEST_SCHEMA_V1: &str = "fusa-obs/manifest/v1";
 
 /// One quarantined campaign unit, as recorded in the manifest (the
 /// obs-side mirror of the fault simulator's quarantine record).
@@ -337,25 +323,18 @@ impl RunManifest {
         out
     }
 
-    /// Parses a manifest previously produced by [`RunManifest::to_json`],
-    /// accepting the current v4 schema and legacy v1–v3 documents
-    /// (v1: no `build`/`histograms`, peak RSS `0` means unknown;
-    /// v1/v2: no `interrupted`/`quarantined`, which default to a clean,
-    /// complete run; v1–v3: no `shard`/`merged_from`, which default to
-    /// a full unmerged run).
+    /// Parses a manifest previously produced by [`RunManifest::to_json`]
+    /// (schema v4). The durability, shard and merge fields are optional
+    /// and default to a clean, complete, unmerged run.
     pub fn parse(text: &str) -> Result<RunManifest, ManifestError> {
         let root = Json::parse(text).map_err(ManifestError::Json)?;
         let schema = root
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| ManifestError::Schema("missing `schema` field".into()))?;
-        let legacy_v1 = schema == MANIFEST_SCHEMA_V1;
-        let legacy_v2 = schema == MANIFEST_SCHEMA_V2;
-        let legacy_v3 = schema == MANIFEST_SCHEMA_V3;
-        if !legacy_v1 && !legacy_v2 && !legacy_v3 && schema != MANIFEST_SCHEMA {
+        if schema != MANIFEST_SCHEMA {
             return Err(ManifestError::Schema(format!(
-                "unsupported schema `{schema}` (expected `{MANIFEST_SCHEMA}`, \
-                 `{MANIFEST_SCHEMA_V3}`, `{MANIFEST_SCHEMA_V2}` or `{MANIFEST_SCHEMA_V1}`)"
+                "unsupported schema `{schema}` (expected `{MANIFEST_SCHEMA}`)"
             )));
         }
         let str_field = |key: &str| -> Result<String, ManifestError> {
@@ -395,39 +374,22 @@ impl RunManifest {
             });
         }
 
-        // v2 writes `null` for an unavailable RSS; v1 wrote `0`.
-        let peak_rss_bytes = match root.get("peak_rss_bytes") {
-            Some(Json::Null) => None,
-            Some(value) => {
-                let bytes = value.as_u64().ok_or_else(|| {
+        // `null` records an unavailable RSS.
+        let peak_rss_bytes =
+            match root.get("peak_rss_bytes") {
+                Some(Json::Null) => None,
+                Some(value) => Some(value.as_u64().ok_or_else(|| {
                     ManifestError::Schema("bad value for `peak_rss_bytes`".into())
-                })?;
-                if legacy_v1 && bytes == 0 {
-                    None
-                } else {
-                    Some(bytes)
-                }
-            }
-            None => return Err(ManifestError::Schema("missing `peak_rss_bytes`".into())),
-        };
+                })?),
+                None => return Err(ManifestError::Schema("missing `peak_rss_bytes`".into())),
+            };
+        let build = parse_str_map(&root, "build")?;
+        let histograms = parse_map(&root, "histograms", parse_histogram_summary)?;
 
-        let build = if legacy_v1 {
-            Vec::new()
-        } else {
-            parse_str_map(&root, "build")?
-        };
-        let histograms = if legacy_v1 {
-            Vec::new()
-        } else {
-            parse_map(&root, "histograms", parse_histogram_summary)?
-        };
-
-        // v3 durability fields; lenient defaults keep v1/v2 parsing.
+        // Durability, shard and merge fields: absent means a clean,
+        // complete, unmerged run.
         let interrupted = matches!(root.get("interrupted"), Some(Json::Bool(true)));
-        // Degraded-durability flag; lenient so pre-flag manifests parse.
         let degraded = matches!(root.get("degraded"), Some(Json::Bool(true)));
-
-        // v4 shard/merge fields; lenient defaults keep v1–v3 parsing.
         let shard = match root.get("shard") {
             Some(Json::Null) | None => None,
             Some(value) => Some(ShardRecord {
@@ -680,89 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_legacy_v1_manifests() {
-        // A v1 document: no build/histograms, RSS 0 means unknown.
-        let v1 = r#"{
-  "schema": "fusa-obs/manifest/v1",
-  "run_id": "analyze-d",
-  "command": "fusa analyze d",
-  "design": "d",
-  "created_unix": 1754000000,
-  "wall_seconds": 1.5,
-  "threads": 4,
-  "peak_rss_bytes": 0,
-  "config": {},
-  "seeds": {"split": 7},
-  "stages": [{"name": "campaign", "seconds": 1.0, "count": 1}],
-  "counters": {"campaign.gate_evals": 10},
-  "gauges": {},
-  "digests": {"nodes_csv": "fnv1a64:0000000000000001"}
-}"#;
-        let manifest = RunManifest::parse(v1).expect("v1 parses");
-        assert_eq!(manifest.peak_rss_bytes, None);
-        assert!(manifest.build.is_empty());
-        assert!(manifest.histograms.is_empty());
-        assert_eq!(manifest.stages.len(), 1);
-        // Re-serializing upgrades the document to the current schema.
-        assert!(manifest
-            .to_json()
-            .starts_with("{\n  \"schema\": \"fusa-obs/manifest/v4\""));
-
-        // A nonzero v1 RSS is preserved.
-        let with_rss = v1.replace("\"peak_rss_bytes\": 0", "\"peak_rss_bytes\": 42");
-        assert_eq!(
-            RunManifest::parse(&with_rss).unwrap().peak_rss_bytes,
-            Some(42)
-        );
-    }
-
-    #[test]
-    fn parses_legacy_v2_manifests() {
-        // A v2 document is a v4 one minus the durability and shard
-        // fields.
-        let mut v2 = sample();
-        v2.interrupted = false;
-        v2.quarantined = Vec::new();
-        let text = v2
-            .to_json()
-            .replace("fusa-obs/manifest/v4", "fusa-obs/manifest/v2")
-            .replace("  \"interrupted\": false,\n", "")
-            .replace("  \"degraded\": false,\n", "")
-            .replace("  \"shard\": null,\n", "")
-            .replace("  \"quarantined\": [],\n", "")
-            .replace("  \"merged_from\": [],\n", "");
-        assert!(!text.contains("interrupted"));
-        let manifest = RunManifest::parse(&text).expect("v2 parses");
-        assert!(!manifest.interrupted);
-        assert!(manifest.quarantined.is_empty());
-        assert_eq!(manifest, v2);
-        // Re-serializing upgrades to v4 with clean defaults.
-        assert!(manifest.to_json().contains("\"interrupted\": false"));
-        assert!(manifest.to_json().contains("\"shard\": null"));
-    }
-
-    #[test]
-    fn parses_legacy_v3_manifests() {
-        // A v3 document is a v4 one minus the shard/merge fields.
-        let v3 = sample();
-        let text = v3
-            .to_json()
-            .replace("fusa-obs/manifest/v4", "fusa-obs/manifest/v3")
-            .replace("  \"shard\": null,\n", "")
-            .replace("  \"merged_from\": [],\n", "")
-            .replace("  \"degraded\": false,\n", "");
-        assert!(!text.contains("shard"));
-        let manifest = RunManifest::parse(&text).expect("v3 parses");
-        assert_eq!(manifest.shard, None);
-        assert!(manifest.merged_from.is_empty());
-        assert_eq!(manifest, v3);
-        // Re-serializing upgrades to v4 with full-run defaults.
-        assert!(manifest
-            .to_json()
-            .starts_with("{\n  \"schema\": \"fusa-obs/manifest/v4\""));
-    }
-
-    #[test]
     fn shard_and_merge_fields_round_trip() {
         let mut manifest = sample();
         manifest.shard = Some(ShardRecord { index: 2, total: 3 });
@@ -829,6 +708,14 @@ mod tests {
         let wrong = r#"{"schema": "something/else"}"#;
         let err = RunManifest::parse(wrong).unwrap_err();
         assert!(err.to_string().contains("unsupported schema"));
+        // Superseded schema generations are foreign too.
+        for old in ["v1", "v2", "v3"] {
+            let text = sample()
+                .to_json()
+                .replace("manifest/v4", &format!("manifest/{old}"));
+            let err = RunManifest::parse(&text).unwrap_err();
+            assert!(err.to_string().contains("unsupported schema"), "{err}");
+        }
     }
 
     #[test]

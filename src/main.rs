@@ -1513,7 +1513,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 /// runs and the resulting summary and criticality CSV digests are
 /// bit-identical to an uninterrupted single-process run.
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    use fusa::faultsim::{merge_checkpoints, read_header, CheckpointHeader};
+    use fusa::faultsim::{merge_checkpoints, CheckpointHeader};
 
     let spec = COMMANDS
         .iter()
@@ -1526,7 +1526,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     // Peek the first header for the design name; `fusa merge` wants no
     // mandatory <design> positional because the checkpoints know it.
     let first = inputs.first().ok_or("missing checkpoint")?;
-    let header = read_header(first).map_err(|e| e.to_string())?;
+    let header = CheckpointHeader::read(first).map_err(|e| e.to_string())?;
     let design_arg = flag_value(args, "--design")
         .unwrap_or(&header.design)
         .to_string();
@@ -1714,7 +1714,7 @@ fn collect_fleet(roots: &[PathBuf], stale_seconds: f64) -> Result<FleetView, Str
             .parent()
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("."));
-        let family = fusa::faultsim::read_header(&dir.join("checkpoint.jsonl"))
+        let family = fusa::faultsim::CheckpointHeader::read(&dir.join("checkpoint.jsonl"))
             .ok()
             .map(|header| header.family_key());
         runs.push(FleetRun {
