@@ -1,8 +1,8 @@
 //! Criterion performance benches covering every substrate:
 //! netlist construction, levelization, scalar and bit-parallel
 //! simulation, fault campaigns, graph normalization, GCN training and
-//! inference, explainer iterations, and the static-analysis lint
-//! passes.
+//! inference, the training kernels, explainer iterations, and the
+//! static-analysis lint passes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fusa_faultsim::{CampaignConfig, FaultCampaign, FaultList};
@@ -176,6 +176,49 @@ fn bench_gcn(c: &mut Criterion) {
     });
 }
 
+/// The training kernels at synth_10k `--fast` shapes (10 253 nodes, the
+/// Table-1 widths 32 → 64). Inputs are seeded, with ReLU-like zeros.
+fn bench_kernels(c: &mut Criterion) {
+    use fusa_neuro::layers::Dropout;
+    use fusa_neuro::Matrix;
+    use rand::{Rng, SeedableRng};
+
+    let rows = 10_253;
+    let random = |r: usize, cols: usize, seed: u64| {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let data = (0..r * cols)
+            .map(|_| {
+                if rng.gen_bool(0.4) {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0..1.0)
+                }
+            })
+            .collect();
+        Matrix::from_vec(r, cols, data)
+    };
+    let h = random(rows, 32, 1);
+    let g = random(rows, 64, 2);
+    let w = random(32, 64, 3);
+    let mut out = Matrix::zeros(rows, 64);
+    c.bench_function("kernels/matmul_10k_32x64", |b| {
+        b.iter(|| h.matmul_into(black_box(&w), &mut out))
+    });
+    let mut grad = Matrix::zeros(32, 64);
+    c.bench_function("kernels/transpose_matmul_10k_32x64", |b| {
+        b.iter(|| h.transpose_matmul_into(black_box(&g), &mut grad))
+    });
+    let mut back = Matrix::zeros(rows, 32);
+    c.bench_function("kernels/matmul_transpose_10k_64x32", |b| {
+        b.iter(|| g.matmul_transpose_into(black_box(&w), &mut back))
+    });
+    let mut dropout = Dropout::new(0.3, 4);
+    let mut x = random(rows, 32, 5);
+    c.bench_function("kernels/dropout_forward_10k_x32", |b| {
+        b.iter(|| dropout.forward_in_place(black_box(&mut x)))
+    });
+}
+
 fn bench_lint(c: &mut Criterion) {
     let netlist = sdram_ctrl();
     c.bench_function("lint/all_passes_sdram_ctrl", |b| {
@@ -200,6 +243,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_lint, bench_pipeline
+    targets = bench_netlist, bench_simulation, bench_fault_campaign, bench_graph, bench_gcn, bench_kernels, bench_lint, bench_pipeline
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! The GCN models: Table-1 classifier and §3.4 regressor.
 
 use fusa_neuro::layers::{
-    log_softmax_backward_in_place, log_softmax_rows_in_place, Dense, Dropout,
+    bias_relu_in_place, log_softmax_backward_in_place, log_softmax_rows_in_place,
+    relu_backward_in_place, Dense, Dropout,
 };
 use fusa_neuro::{CsrMatrix, Matrix, Param};
 
@@ -135,6 +136,26 @@ pub(crate) struct Workspace {
     grad_aggregated: Vec<Matrix>,
     /// Per-layer weight-gradient scratch, `widths[l] × widths[l + 1]`.
     weight_grads: Vec<Matrix>,
+    /// Buffers of [`GcnTrunk::forward_inference_rows`], allocated by
+    /// its first call.
+    subset: Option<Subset>,
+}
+
+/// Rows of the last layer taken per block by
+/// [`GcnTrunk::forward_inference_rows`]: its scratch stays a few KiB
+/// however many rows it computes.
+const SUBSET_BLOCK: usize = 64;
+
+/// The last layer on a row subset: one block's aggregated input and
+/// projection, and the output of every row.
+#[derive(Debug, Clone)]
+struct Subset {
+    /// `SUBSET_BLOCK × in`: the block's rows of `Â·H`.
+    aggregated: Matrix,
+    /// `SUBSET_BLOCK × out`: the block's rows of `Â·H·W`.
+    projected: Matrix,
+    /// `rows × out`: the layer output of every requested row.
+    output: Matrix,
 }
 
 impl Workspace {
@@ -290,6 +311,53 @@ impl GcnTrunk {
         run_forward(&self.layers, ws, adj, None, false);
     }
 
+    /// Inference pass whose last layer runs only on the nodes `rows`.
+    /// The hidden layers cover the whole graph, since the last
+    /// convolution aggregates their neighbours. Row `k` of the returned
+    /// `rows.len() × out` matrix is, bit for bit, row `rows[k]` of
+    /// [`GcnTrunk::forward_inference`]'s output: rows are independent in
+    /// every kernel.
+    pub(crate) fn forward_inference_rows<'w>(
+        &self,
+        ws: &'w mut Workspace,
+        adj: &CsrMatrix,
+        rows: &[usize],
+    ) -> &'w mut Matrix {
+        let (hidden, projection) = self.layers.split_at(self.layers.len() - 1);
+        run_hidden(hidden, ws, adj, None, false);
+        let layer = &projection[0];
+        let width = layer.out_features();
+        let subset = ws.subset.get_or_insert_with(|| Subset {
+            aggregated: Matrix::zeros(SUBSET_BLOCK, layer.in_features()),
+            projected: Matrix::zeros(SUBSET_BLOCK, width),
+            output: Matrix::zeros(0, width),
+        });
+        if subset.output.rows() != rows.len() {
+            subset.output = Matrix::zeros(rows.len(), width);
+        }
+        let input = &ws.outputs[hidden.len() - 1];
+        let mut picked = [0; SUBSET_BLOCK];
+        let blocks = rows.chunks(SUBSET_BLOCK);
+        for (block, out) in blocks.zip(
+            subset
+                .output
+                .as_mut_slice()
+                .chunks_mut(SUBSET_BLOCK * width),
+        ) {
+            // A short last block repeats a row to fill the buffers; its
+            // extra outputs are not copied.
+            picked[..block.len()].copy_from_slice(block);
+            picked[block.len()..].fill(block[0]);
+            adj.matmul_rows_into(&picked, input, &mut subset.aggregated);
+            subset
+                .aggregated
+                .matmul_into(&layer.weight.value, &mut subset.projected);
+            out.copy_from_slice(&subset.projected.as_slice()[..out.len()]);
+        }
+        subset.output.add_row_in_place(layer.bias.value.row(0));
+        &mut subset.output
+    }
+
     /// Cache-free inference pass on a fresh workspace.
     fn infer(&self, adj: &CsrMatrix, x: &Matrix) -> Matrix {
         let mut ws = self.workspace(x.rows());
@@ -360,15 +428,7 @@ impl GcnTrunk {
             if training && l - 1 == self.dropout_position {
                 self.dropout.backward_in_place(grad);
             }
-            let keep = &ws.relu_keep[l - 1];
-            assert_eq!(
-                keep.len(),
-                grad.as_slice().len(),
-                "backward requires a prior caching forward pass"
-            );
-            for (g, &kept) in grad.as_mut_slice().iter_mut().zip(keep) {
-                *g = if kept { *g } else { 0.0 };
-            }
+            relu_backward_in_place(grad, &ws.relu_keep[l - 1]);
         }
         unreachable!("the layer-0 step returns")
     }
@@ -415,54 +475,38 @@ fn run_forward(
     layers: &[Dense],
     ws: &mut Workspace,
     adj: &CsrMatrix,
+    dropout: Option<(&mut Dropout, usize)>,
+    keep_masks: bool,
+) {
+    let (hidden, projection) = layers.split_at(layers.len() - 1);
+    run_hidden(hidden, ws, adj, dropout, keep_masks);
+    let (l, layer) = (hidden.len(), &projection[0]);
+    adj.matmul_into(&ws.outputs[l - 1], &mut ws.aggregated[l]);
+    let out = &mut ws.outputs[l];
+    ws.aggregated[l].matmul_into(&layer.weight.value, out);
+    out.add_row_in_place(layer.bias.value.row(0));
+}
+
+/// The hidden layers of [`run_forward`]: graph convolution, bias and
+/// ReLU, and dropout after layer `position` when given.
+fn run_hidden(
+    hidden: &[Dense],
+    ws: &mut Workspace,
+    adj: &CsrMatrix,
     mut dropout: Option<(&mut Dropout, usize)>,
     keep_masks: bool,
 ) {
-    let last = layers.len() - 1;
-    for (l, layer) in layers.iter().enumerate() {
+    for (l, layer) in hidden.iter().enumerate() {
         if l > 0 {
             adj.matmul_into(&ws.outputs[l - 1], &mut ws.aggregated[l]);
         }
         let out = &mut ws.outputs[l];
         ws.aggregated[l].matmul_into(&layer.weight.value, out);
         let bias = layer.bias.value.row(0);
-        if l == last {
-            out.add_row_in_place(bias);
-            break;
-        }
         bias_relu_in_place(out, bias, keep_masks.then_some(&mut ws.relu_keep[l]));
         if let Some((dropout, position)) = dropout.as_mut() {
             if l == *position {
                 dropout.forward_in_place(out);
-            }
-        }
-    }
-}
-
-/// A hidden layer's bias and ReLU in one pass: `v ← max(v + b, 0)` row
-/// by row, recording the ReLU mask `v + b > 0` in `keep` when given.
-fn bias_relu_in_place(out: &mut Matrix, bias: &[f64], keep: Option<&mut Vec<bool>>) {
-    let width = out.cols();
-    if width == 0 {
-        return;
-    }
-    match keep {
-        Some(keep) => {
-            keep.resize(out.as_slice().len(), false);
-            let rows = out.as_mut_slice().chunks_exact_mut(width);
-            for (row, kept) in rows.zip(keep.chunks_exact_mut(width)) {
-                for ((v, k), &b) in row.iter_mut().zip(kept).zip(bias) {
-                    let y = *v + b;
-                    *k = y > 0.0;
-                    *v = y.max(0.0);
-                }
-            }
-        }
-        None => {
-            for row in out.as_mut_slice().chunks_exact_mut(width) {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v = (*v + b).max(0.0);
-                }
             }
         }
     }
@@ -842,6 +886,37 @@ mod tests {
                 "entry {k}: numeric {numeric} vs {}",
                 edge_grads[k]
             );
+        }
+    }
+
+    #[test]
+    fn row_subset_pass_matches_the_whole_graph_bit_for_bit() {
+        // More nodes than one subset block, rows in arbitrary order with
+        // a repeat, and both head widths.
+        let n = 2 * SUBSET_BLOCK + 7;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            triplets.push((i, i, 0.5));
+            triplets.push((i, (i * 7 + 3) % n, 0.25));
+            triplets.push(((i * 11 + 5) % n, i, -0.125));
+        }
+        let adj = CsrMatrix::from_triplets(n, n, &triplets);
+        let data = (0..n * 2).map(|k| ((k * 37) % 19) as f64 / 9.0 - 1.0);
+        let x = Matrix::from_vec(n, 2, data.collect());
+        let rows: Vec<usize> = (0..n).rev().step_by(2).chain([3, 3]).collect();
+        for out in [NUM_CLASSES, 1] {
+            let trunk = GcnTrunk::new(&tiny_config(), out);
+            let mut ws = trunk.workspace(n);
+            ws.aggregate_input(&adj, &x);
+            trunk.forward_inference(&mut ws, &adj);
+            let whole = ws.output().clone();
+            let subset = trunk.forward_inference_rows(&mut ws, &adj, &rows);
+            assert_eq!(subset.shape(), (rows.len(), out));
+            for (k, &r) in rows.iter().enumerate() {
+                let got: Vec<u64> = subset.row(k).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = whole.row(r).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "row {r} (width {out})");
+            }
         }
     }
 

@@ -121,9 +121,9 @@ pub fn train_classifier(
             if split.validation.is_empty() {
                 return 0.0;
             }
-            trunk.forward_inference(&mut ws, adj);
-            log_softmax_rows_in_place(ws.output_mut());
-            validation_accuracy(ws.output(), labels, &split.validation)
+            let log_probs = trunk.forward_inference_rows(&mut ws, adj, &split.validation);
+            log_softmax_rows_in_place(log_probs);
+            validation_accuracy(log_probs, labels, &split.validation)
         });
         history.train_loss.push(loss);
         history.validation_metric.push(val_accuracy);
@@ -166,14 +166,32 @@ pub fn train_classifier(
     (model, history, evaluation)
 }
 
-/// Validation accuracy of the argmax predictions of `log_probs`.
+/// Validation accuracy of the argmax predictions of `log_probs`, whose
+/// row `k` belongs to node `validation[k]`.
 fn validation_accuracy(log_probs: &Matrix, labels: &[bool], validation: &[usize]) -> f64 {
     let predictions = log_probs.argmax_rows();
     let correct = validation
         .iter()
-        .filter(|&&i| (predictions[i] == 1) == labels[i])
+        .zip(predictions)
+        .filter(|&(&i, predicted)| (predicted == 1) == labels[i])
         .count();
     correct as f64 / validation.len() as f64
+}
+
+/// Mean squared error of `predictions`, whose row `k` belongs to node
+/// `validation[k]`, summed in the order of [`mse_loss_into`] over the
+/// same mask.
+fn validation_mse(predictions: &Matrix, scores: &[f64], validation: &[usize]) -> f64 {
+    if validation.is_empty() {
+        return 0.0;
+    }
+    let scale = 1.0 / validation.len() as f64;
+    let mut loss = 0.0;
+    for (&node, prediction) in validation.iter().zip(predictions.as_slice()) {
+        let diff = prediction - scores[node];
+        loss += diff * diff;
+    }
+    loss * scale
 }
 
 /// Evaluates a trained classifier on the validation nodes of `split`.
@@ -266,12 +284,9 @@ pub fn train_regressor(
         });
         obs.time("optimizer", || optimizer.step(&mut trunk.params_mut()));
 
-        // The output gradient is scratch here: the next epoch's loss
-        // overwrites it.
         let val_loss = obs.time("validation", || {
-            trunk.forward_inference(&mut ws, adj);
-            let (predictions, scratch) = ws.output_and_grad();
-            mse_loss_into(predictions, scores, &split.validation, scratch)
+            let predictions = trunk.forward_inference_rows(&mut ws, adj, &split.validation);
+            validation_mse(predictions, scores, &split.validation)
         });
         history.train_loss.push(loss);
         history.validation_metric.push(-val_loss);

@@ -5,6 +5,7 @@
 //! (the cache is overwritten by the next forward call).
 
 use crate::init::glorot_uniform;
+use crate::kernels;
 use crate::matrix::Matrix;
 use crate::param::Param;
 use rand::prelude::*;
@@ -167,13 +168,14 @@ impl Dropout {
         let rng = &mut self.rng;
         let mask = self.mask.get_or_insert_with(Vec::new);
         mask.resize(x.as_slice().len(), 0.0);
-        // One uniform draw per element, as `gen_bool(keep)` makes, with a
-        // select in place of a branch that mispredicts on every dropped
-        // element.
-        for (v, m) in x.as_mut_slice().iter_mut().zip(mask.iter_mut()) {
-            *m = if rng.gen::<f64>() < keep { scale } else { 0.0 };
-            *v *= *m;
+        // One uniform draw per element, as `gen_bool(keep)` makes. The
+        // draws are compared in a second, vectorized pass: a compare in
+        // the drawing loop compiles to a branch that mispredicts on
+        // every dropped element.
+        for m in mask.iter_mut() {
+            *m = rng.gen::<f64>();
         }
+        kernels::dropout_forward(x.as_mut_slice(), mask, keep, scale);
     }
 
     /// Inference-mode forward pass (identity).
@@ -191,11 +193,42 @@ impl Dropout {
     /// Backward pass applied to `grad` in place.
     pub fn backward_in_place(&self, grad: &mut Matrix) {
         if let Some(mask) = &self.mask {
-            for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
-                *g *= m;
-            }
+            kernels::scale_by(grad.as_mut_slice(), mask);
         }
     }
+}
+
+/// A hidden graph convolution's bias and ReLU in one pass:
+/// `v ← max(v + b, 0)` row by row, recording the ReLU mask `v + b > 0`
+/// in `keep` (resized to one flag per element) when given.
+///
+/// # Panics
+///
+/// Panics if `bias.len() != x.cols()`.
+pub fn bias_relu_in_place(x: &mut Matrix, bias: &[f64], keep: Option<&mut Vec<bool>>) {
+    assert_eq!(bias.len(), x.cols(), "bias width mismatch");
+    match keep {
+        Some(keep) => {
+            keep.resize(x.as_slice().len(), false);
+            kernels::bias_relu_mask(x.as_mut_slice(), bias, keep);
+        }
+        None => kernels::bias_relu(x.as_mut_slice(), bias),
+    }
+}
+
+/// ReLU backward in place: zeroes `grad` wherever `keep`, the mask of
+/// [`bias_relu_in_place`], is `false`.
+///
+/// # Panics
+///
+/// Panics if `keep` does not hold one flag per element of `grad`.
+pub fn relu_backward_in_place(grad: &mut Matrix, keep: &[bool]) {
+    assert_eq!(
+        keep.len(),
+        grad.as_slice().len(),
+        "ReLU mask does not match the gradient"
+    );
+    kernels::relu_backward(grad.as_mut_slice(), keep);
 }
 
 /// Row-wise log-softmax: `y_ij = x_ij - log Σ_k exp(x_ik)`.

@@ -29,6 +29,7 @@
 //! ```
 
 pub mod init;
+mod kernels;
 pub mod layers;
 pub mod loss;
 pub mod matrix;

@@ -1,5 +1,6 @@
 //! Dense row-major matrices.
 
+use crate::kernels;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -175,7 +176,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
-        dense_rows(
+        kernels::dense_rows(
             &self.data,
             self.cols,
             &other.data,
@@ -212,18 +213,13 @@ impl Matrix {
             (self.cols, other.cols),
             "transpose_matmul output shape"
         );
-        out.data.fill(0.0);
-        if self.cols == 0 || other.cols == 0 {
-            return;
-        }
-        let rows = self.data.chunks_exact(self.cols);
-        for (arow, brow) in rows.zip(other.data.chunks_exact(other.cols)) {
-            for (&a, orow) in arow.iter().zip(out.data.chunks_exact_mut(other.cols)) {
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        kernels::transpose_rows(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
     }
 
     /// `self × otherᵀ` without materializing the transpose.
@@ -255,7 +251,7 @@ impl Matrix {
             "matmul_transpose output shape"
         );
         let other_t = other.transpose();
-        dense_rows(
+        kernels::dense_rows(
             &self.data,
             self.cols,
             &other_t.data,
@@ -350,11 +346,7 @@ impl Matrix {
     /// Column sums, returned as a length-`cols` vector.
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (s, &v) in sums.iter_mut().zip(self.row(r)) {
-                *s += v;
-            }
-        }
+        kernels::column_sums(&self.data, self.cols, &mut sums);
         sums
     }
 
@@ -381,61 +373,6 @@ impl Matrix {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
-}
-
-/// Output columns per register tile of [`dense_rows`].
-const TILE: usize = 8;
-
-/// `out = start + a × b` for row-major `a` (`inner` wide) and `b`
-/// (`width` wide): the body of [`Matrix::matmul_into`] and
-/// [`Matrix::matmul_transpose_into`]. Every output element starts at
-/// `start` and adds `a[i,k]·b[k,j]` for ascending `k`. Columns are
-/// taken [`TILE`] at a time (or 1–2 for the model heads) so the running
-/// sums stay in registers instead of a load and store per multiply-add.
-fn dense_rows(a: &[f64], inner: usize, b: &[f64], width: usize, start: f64, out: &mut [f64]) {
-    if width == 0 {
-        return;
-    }
-    for (i, orow) in out.chunks_exact_mut(width).enumerate() {
-        let x = &a[i * inner..(i + 1) * inner];
-        for (t, chunk) in orow.chunks_mut(TILE).enumerate() {
-            let col = t * TILE;
-            match chunk.len() {
-                TILE => chunk.copy_from_slice(&dot_tile::<TILE>(x, b, width, col, start)),
-                1 => chunk.copy_from_slice(&dot_tile::<1>(x, b, width, col, start)),
-                2 => chunk.copy_from_slice(&dot_tile::<2>(x, b, width, col, start)),
-                len => {
-                    chunk.fill(start);
-                    for (k, &y) in x.iter().enumerate() {
-                        let row = k * width + col;
-                        for (s, &z) in chunk.iter_mut().zip(&b[row..row + len]) {
-                            *s += y * z;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `start + Σ_k x[k]·b[k, col..col + T]` for ascending `k`.
-#[inline(always)]
-fn dot_tile<const T: usize>(
-    x: &[f64],
-    b: &[f64],
-    width: usize,
-    col: usize,
-    start: f64,
-) -> [f64; T] {
-    let mut acc = [start; T];
-    for (k, &a) in x.iter().enumerate() {
-        let row = k * width + col;
-        let brow: &[f64; T] = b[row..row + T].try_into().expect("tile within the row");
-        for (s, &y) in acc.iter_mut().zip(brow) {
-            *s += a * y;
-        }
-    }
-    acc
 }
 
 impl Add for &Matrix {

@@ -1,9 +1,7 @@
 //! Compressed-sparse-row matrices for graph adjacency.
 
+use crate::kernels;
 use crate::matrix::Matrix;
-
-/// Output columns per register tile of [`CsrMatrix::matmul_into`].
-const TILE: usize = 8;
 
 /// A square-or-rectangular sparse matrix in CSR layout.
 ///
@@ -164,38 +162,37 @@ impl CsrMatrix {
             dense.cols()
         );
         assert_eq!(out.shape(), (self.rows, dense.cols()), "spmm output shape");
-        let width = dense.cols();
-        if width == 0 {
-            return;
-        }
-        let src = dense.as_slice();
-        for (r, dst) in out.as_mut_slice().chunks_exact_mut(width).enumerate() {
-            let entries = self.row_ptr[r]..self.row_ptr[r + 1];
-            let cols = &self.col_idx[entries.clone()];
-            let values = &self.values[entries];
-            let mut tiles = dst.chunks_exact_mut(TILE);
-            for (t, tile) in tiles.by_ref().enumerate() {
-                let mut acc = [0.0; TILE];
-                for (&c, &v) in cols.iter().zip(values) {
-                    let at = c * width + t * TILE;
-                    let row: &[f64; TILE] =
-                        src[at..at + TILE].try_into().expect("tile within the row");
-                    for (a, &x) in acc.iter_mut().zip(row) {
-                        *a += v * x;
-                    }
-                }
-                tile.copy_from_slice(&acc);
-            }
-            let rest = tiles.into_remainder();
-            let len = rest.len();
-            rest.fill(0.0);
-            for (&c, &v) in cols.iter().zip(values) {
-                let at = (c + 1) * width - len;
-                for (d, &x) in rest.iter_mut().zip(&src[at..at + len]) {
-                    *d += v * x;
-                }
-            }
-        }
+        kernels::spmm(
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+            dense.as_slice(),
+            dense.cols(),
+            out.as_mut_slice(),
+        );
+    }
+
+    /// Rows `rows` of `self × dense`, written into `out`: output row `k`
+    /// is row `rows[k]` of [`CsrMatrix::matmul_into`]'s result, bit for
+    /// bit, and no other row is computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != dense.rows()`, a listed row is out of
+    /// bounds, or `out` is not `rows.len() × dense.cols()`.
+    pub fn matmul_rows_into(&self, rows: &[usize], dense: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, dense.rows(), "spmm shape mismatch");
+        assert_eq!(out.shape(), (rows.len(), dense.cols()), "spmm output shape");
+        assert!(rows.iter().all(|&r| r < self.rows), "row out of bounds");
+        kernels::spmm_rows(
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+            dense.as_slice(),
+            dense.cols(),
+            rows,
+            out.as_mut_slice(),
+        );
     }
 
     /// The transposed matrix. Each transposed row lists its entries in

@@ -3,8 +3,9 @@
 //! `reference` keeps the straightforward loops the kernels replaced and
 //! shares no code with them. Every kernel must match its reference bit
 //! for bit (`to_bits`) on random finite shapes that include exact zeros,
-//! `-0.0`, all-zero rows, width-1 operands and every remainder width of
-//! the 8-column register tiles.
+//! `-0.0`, all-zero rows, width-1 operands, every remainder width of
+//! the 8-column register tiles, every row remainder of the 4-row register
+//! blocks and products over several 64-row chunks.
 
 use fusa_neuro::{CsrMatrix, Matrix};
 use proptest::prelude::*;
@@ -167,14 +168,26 @@ fn assert_bits(kernel: &Matrix, reference: &Matrix, what: &str) {
     }
 }
 
+/// Widths that hit the model heads, every remainder class of the
+/// 8-column tiles and the Table-1 layer widths.
+const WIDTHS: [usize; 8] = [1, 2, 3, 7, 8, 9, 16, 64];
+
 /// Inner and output widths, often with a width-1 operand.
 fn widths() -> impl Strategy<Value = (usize, usize)> {
-    (0u8..4, 1usize..=40, 1usize..=40).prop_map(|(kind, x, y)| match kind {
+    (0u8..5, 1usize..=40, 1usize..=40).prop_map(|(kind, x, y)| match kind {
         0 => (x, y),
         1 => (1, y),
         2 => (x, 1),
-        _ => (x % 6 + 1, y % 6 + 1),
+        3 => (x % 6 + 1, y % 6 + 1),
+        _ => (WIDTHS[x % WIDTHS.len()], WIDTHS[y % WIDTHS.len()]),
     })
+}
+
+/// Row counts with every remainder mod 4, from 0 up to three 64-row
+/// chunks.
+fn rows() -> impl Strategy<Value = usize> {
+    (0usize..12, 0usize..4, 0usize..3)
+        .prop_map(|(blocks, rem, chunks)| 4 * blocks + rem + 64 * chunks)
 }
 
 proptest! {
@@ -183,7 +196,7 @@ proptest! {
     #[test]
     fn matmul_matches_reference(
         shape in widths(),
-        rows in 0usize..48,
+        rows in rows(),
         a_fill in fill(),
         b_fill in fill(),
     ) {
@@ -200,7 +213,7 @@ proptest! {
     #[test]
     fn transpose_matmul_matches_reference(
         shape in widths(),
-        rows in 0usize..48,
+        rows in rows(),
         a_fill in fill(),
         b_fill in fill(),
     ) {
@@ -217,7 +230,7 @@ proptest! {
     #[test]
     fn matmul_transpose_matches_reference(
         shape in widths(),
-        rows in 0usize..48,
+        rows in rows(),
         a_fill in fill(),
         b_fill in fill(),
     ) {
@@ -265,6 +278,38 @@ proptest! {
         let mut out = Matrix::filled(cols, width, 7.0);
         sparse.transpose().matmul_into(&dense, &mut out);
         assert_bits(&out, &expected, "spmm over the transpose");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn spmm_rows_match_reference(
+        rows in 1usize..=300,
+        cols in 1usize..=300,
+        width in 1usize..=40,
+        per_row in 1usize..=12,
+        pick in any::<u64>(),
+        s_fill in fill(),
+        d_fill in fill(),
+    ) {
+        let sparse = random_csr(rows, cols, per_row, s_fill);
+        let dense = random_matrix(cols, width, d_fill);
+        let expected = reference::spmm(&sparse, &dense);
+        // A seeded subset in arbitrary order, with repeats.
+        let mut rng = ChaCha8Rng::seed_from_u64(pick);
+        let subset: Vec<usize> = (0..rng.gen_range(0..=rows))
+            .map(|_| rng.gen_range(0..rows))
+            .collect();
+        let mut out = Matrix::filled(subset.len(), width, 7.0);
+        sparse.matmul_rows_into(&subset, &dense, &mut out);
+        let picked: Vec<f64> = subset
+            .iter()
+            .flat_map(|&r| expected.row(r).to_vec())
+            .collect();
+        let picked = Matrix::from_vec(subset.len(), width, picked);
+        assert_bits(&out, &picked, "spmm rows");
     }
 }
 
